@@ -1,18 +1,11 @@
-// CONCURRENCY — connection-scaling sweep for the epoll reactor front end
-// (io_model=reactor) against the thread-per-connection baseline.
+// CONCURRENCY — connection-scaling sweep for the epoll reactor front end.
 //
-// Phase A (reactor): hold N idle TCP connections open against the server
-// (they sit in the event loop's handshake phase, costing state but no
-// worker), then measure warm GET latency through a resuming client. The
+// Hold N idle TCP connections open against the server (they sit in the
+// event loop's handshake phase, costing state but no worker), then
+// measure warm GET latency through a resuming client. The
 // reactor claim is that the series stays flat: p99 at N=5000 looks like
 // p99 at N=0, and the idle connections are all still admitted (in_flight
 // == N, nothing shed, nothing timed out) when the sweep ends.
-//
-// Phase B (threaded baseline): the same warm-GET measurement while a
-// slowloris attacker keeps opening silent connections. With blocking
-// workers each silent connection pins a thread until the handshake
-// deadline reaps it, so GETs queue behind the attack and p99 blows up past
-// worker_threads held connections — the failure mode the reactor removes.
 //
 // Gates (full mode only; --quick is the ctest smoke and checks the sweep
 // completes with nothing shed or reaped):
@@ -24,7 +17,6 @@
 #include <sys/resource.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -80,13 +72,12 @@ GetStats measure_warm_gets(client::MyProxyClient& client,
   return {percentile(ms, 0.50), percentile(ms, 0.90), percentile(ms, 0.99)};
 }
 
-server::ServerConfig sweep_config(server::IoModel model) {
+server::ServerConfig sweep_config() {
   server::ServerConfig config;
   config.accepted_credentials.add("*");
   config.authorized_retrievers.add("*");
   config.worker_threads = 4;
   config.keygen_pool_size = 0;
-  config.io_model = model;
   config.reactor_threads = 2;
   config.max_connections = 0;  // the sweep itself is the admission test
   return config;
@@ -121,7 +112,7 @@ int main(int argc, char** argv) {
   const gsi::Credential alice = vo.user("conc-alice");
   const gsi::Credential portal = vo.portal("conc-portal");
 
-  // --- Phase A: reactor idle-connection sweep -------------------------------
+  // --- Reactor idle-connection sweep -----------------------------------------
   std::vector<std::size_t> sweep;
   if (quick) {
     sweep = {0, max_connections / 2, max_connections};
@@ -140,7 +131,7 @@ int main(int argc, char** argv) {
   std::vector<Point> reactor_series;
   bool sustained_ok = true;
   {
-    server::ServerConfig config = sweep_config(server::IoModel::kReactor);
+    server::ServerConfig config = sweep_config();
     // Idle connections must stay parked for the whole sweep, not be reaped:
     // sustaining them IS the experiment.
     config.handshake_timeout = Millis(0);
@@ -188,54 +179,6 @@ int main(int argc, char** argv) {
     for (auto& socket : idle) socket.close();
   }
 
-  // --- Phase B: threaded baseline under slowloris pressure ------------------
-  GetStats threaded_quiet;
-  GetStats threaded_attacked;
-  std::uint64_t threaded_timeouts = 0;
-  const std::size_t baseline_samples = quick ? 5 : 10;
-  {
-    server::ServerConfig config = sweep_config(server::IoModel::kThreaded);
-    config.handshake_timeout = Millis(1000);  // the only thing freeing workers
-    RepositoryFixture fixture(vo, bench_policy());
-    fixture.server->stop();
-    fixture.server = std::make_unique<server::MyProxyServer>(
-        vo.service("myproxy-conc-threaded"), vo.trust_store(),
-        fixture.repository, std::move(config));
-    fixture.server->start();
-    put_credential(vo, fixture, alice, "alice");
-
-    client::MyProxyClient reader(gsi::create_proxy(portal), vo.trust_store(),
-                                 fixture.server->port());
-    (void)reader.get("alice", kPhrase);
-    threaded_quiet = measure_warm_gets(reader, baseline_samples);
-
-    // Slowloris: keep more silent connections arriving than the handshake
-    // deadline reaps, so every blocking worker stays pinned.
-    std::atomic<bool> attacking{true};
-    std::thread attacker([&] {
-      std::vector<net::Socket> held;
-      while (attacking.load()) {
-        try {
-          held.push_back(net::tcp_connect(fixture.server->port()));
-        } catch (const std::exception&) {
-          // Accept queue full under pressure: fine, keep pushing.
-        }
-        if (held.size() > 64) held.erase(held.begin(), held.begin() + 32);
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
-      }
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(300));
-    threaded_attacked = measure_warm_gets(reader, baseline_samples);
-    attacking.store(false);
-    attacker.join();
-    threaded_timeouts = fixture.server->stats().timeouts.load();
-    std::printf(
-        "threaded baseline: quiet GET p99 %6.2f ms | under slowloris "
-        "p99 %6.2f ms (%llu reaped)\n",
-        threaded_quiet.p99, threaded_attacked.p99,
-        static_cast<unsigned long long>(threaded_timeouts));
-  }
-
   // --- Report ---------------------------------------------------------------
   std::ostringstream json;
   json << "{\n"
@@ -253,12 +196,6 @@ int main(int argc, char** argv) {
          << (i + 1 < reactor_series.size() ? "," : "") << "\n";
   }
   json << "  ],\n"
-       << "  \"threaded_baseline\": {\"worker_threads\": 4, "
-       << "\"quiet_get_ms\": {\"p50\": " << threaded_quiet.p50
-       << ", \"p99\": " << threaded_quiet.p99
-       << "}, \"slowloris_get_ms\": {\"p50\": " << threaded_attacked.p50
-       << ", \"p99\": " << threaded_attacked.p99
-       << "}, \"connections_reaped\": " << threaded_timeouts << "},\n"
        << "  \"sustained\": " << (sustained_ok ? "true" : "false") << "\n"
        << "}\n";
 

@@ -266,7 +266,6 @@ int main(int argc, char** argv) {
   config.authorized_retrievers.add("*");
   config.authorized_renewers.add("*");
   config.worker_threads = 8;
-  config.io_model = server::IoModel::kReactor;
   config.reactor_threads = 2;
   config.admission.rate_limit_rps = 40.0;
   config.admission.rate_limit_burst = 10.0;

@@ -2,9 +2,11 @@
 //
 // The paper calls the native protocol "quickly designed as a prototype" and
 // proposes HTTP "for compatibility with standard web-oriented libraries."
-// The HttpGateway serves exactly that: a full myproxy-get-delegation in ONE
-// mutually-authenticated HTTPS round trip — the CSR travels in the request
-// body, the signed certificate chain comes back in the response.
+// The server's HTTP binding serves exactly that, on its one native port: a
+// full myproxy-get-delegation in ONE mutually-authenticated round trip —
+// the CSR travels in the request body, the signed certificate chain comes
+// back in the response. The server picks the codec from the first message,
+// so the native client and the HTTP client below talk to the same listener.
 #include <iostream>
 
 #include "client/myproxy_client.hpp"
@@ -12,7 +14,6 @@
 #include "example_util.hpp"
 #include "gsi/proxy.hpp"
 #include "portal/http.hpp"
-#include "server/http_gateway.hpp"
 
 int main() {
   using namespace myproxy;  // NOLINT(google-build-using-namespace) example
@@ -20,22 +21,15 @@ int main() {
 
   examples::VirtualOrganization vo;
 
-  // A repository with both front ends: native protocol + HTTP gateway
-  // sharing one credential store.
+  // One repository server, one port: native protocol and HTTP binding.
   examples::RepositoryFixture native(vo);
-  server::HttpGatewayConfig gateway_config;
-  gateway_config.authorized_retrievers.add("/C=US/O=Grid/OU=Portals/*");
-  server::HttpGateway gateway(vo.service("myproxy-http"), vo.trust_store(),
-                              native.repository, gateway_config);
-  gateway.start();
-  std::cout << "native protocol on port " << native.server->port()
-            << ", HTTP gateway on port " << gateway.port() << "\n";
+  const std::uint16_t port = native.server->port();
+  std::cout << "native protocol and HTTP binding on port " << port << "\n";
 
   banner("store via the native protocol");
   const gsi::Credential alice = vo.user("Alice");
   const gsi::Credential alice_proxy = gsi::create_proxy(alice);
-  client::MyProxyClient init(alice_proxy, vo.trust_store(),
-                             native.server->port());
+  client::MyProxyClient init(alice_proxy, vo.trust_store(), port);
   init.put("alice", "correct horse battery", alice_proxy);
 
   banner("retrieve via HTTP: one POST, chain in the response");
@@ -53,7 +47,7 @@ int main() {
                  "&lifetime=3600&csr=" + portal::url_encode(delegation.csr_pem);
 
   const tls::TlsContext ctx = tls::TlsContext::make(portal);
-  auto channel = tls::TlsChannel::connect(ctx, net::tcp_connect(gateway.port()));
+  auto channel = tls::TlsChannel::connect(ctx, net::tcp_connect(port));
   channel->send(request.serialize());
   const portal::HttpResponse response =
       portal::parse_response(channel->receive());
@@ -70,6 +64,5 @@ int main() {
   const auto id = vo.trust_store().verify(delegated.full_chain());
   std::cout << "verified: " << id.identity.str() << "\n";
 
-  gateway.stop();
   return 0;
 }

@@ -32,8 +32,8 @@ class ThreadPool {
   bool submit(std::function<void()> task);
 
   /// Non-blocking submit: returns false immediately (task not enqueued)
-  /// when the queue is at capacity or the pool is shutting down. Lets an
-  /// accept loop shed load instead of stalling behind a saturated pool.
+  /// when the queue is at capacity or the pool is shutting down. Lets the
+  /// reactor shed load instead of stalling behind a saturated pool.
   bool try_submit(std::function<void()> task);
 
   /// Queued-but-not-started task count (for stats/tests).

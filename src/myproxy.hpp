@@ -35,7 +35,7 @@
 #include "client/myproxy_client.hpp"
 #include "protocol/message.hpp"
 #include "repository/repository.hpp"
-#include "server/http_gateway.hpp"
+#include "server/http_binding.hpp"
 #include "server/myproxy_server.hpp"
 
 // Applications

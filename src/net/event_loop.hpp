@@ -1,5 +1,5 @@
 // Single-threaded epoll event loop with timers and cross-thread task
-// posting — the reactor core behind the server's io_model=reactor path.
+// posting — the reactor core behind the server's connection front end.
 //
 // Ownership and threading rules (deliberately strict so connection state
 // machines need no locks):

@@ -123,10 +123,11 @@ void Socket::shutdown_send() noexcept {
   if (valid()) ::shutdown(fd_, SHUT_WR);
 }
 
-std::string peer_address_of(int fd) {
+std::string Socket::peer_address() const {
   sockaddr_in addr{};
   socklen_t len = sizeof(addr);
-  if (::getpeername(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0 ||
+  if (!valid() ||
+      ::getpeername(fd_, reinterpret_cast<sockaddr*>(&addr), &len) != 0 ||
       addr.sin_family != AF_INET) {
     return {};
   }
@@ -135,11 +136,6 @@ std::string peer_address_of(int fd) {
     return {};
   }
   return text;
-}
-
-std::string Socket::peer_address() const {
-  if (!valid()) return {};
-  return peer_address_of(fd_);
 }
 
 bool is_loopback_address(std::string_view address) {

@@ -81,11 +81,6 @@ class Socket {
 /// Connected AF_UNIX pair — in-process transport for tests and benchmarks.
 [[nodiscard]] std::pair<Socket, Socket> socket_pair();
 
-/// Dotted-quad peer address of a connected INET descriptor; empty when the
-/// descriptor is not an INET socket. Free-function form for callers that
-/// hold only an fd (the reactor's TLS channels).
-[[nodiscard]] std::string peer_address_of(int fd);
-
 /// True when `address` parses as an IPv4 loopback address (127.0.0.0/8).
 [[nodiscard]] bool is_loopback_address(std::string_view address);
 

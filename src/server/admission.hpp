@@ -5,16 +5,16 @@
 // Two gates, consulted at different points of a connection's life:
 //
 //   * Pre-auth (peer IP address): a token bucket per client address,
-//     consulted before a worker is committed — in the threaded accept loop
-//     before the TLS handshake, and in the reactor's hand_off before
-//     try_submit. Defends the handshake/crypto budget against a single
+//     consulted by the reactor right after accept, before the TLS
+//     handshake or a worker is spent on the connection. Defends the
+//     handshake/crypto budget against a single
 //     hostile host. Off by default (preauth_rate_limit_rps == 0): a NAT'd
 //     portal farm shares one address, so this knob is deliberately
 //     separate from the per-DN limits.
 //
 //   * Post-auth (authenticated DN): a token bucket per identity plus a
-//     weighted fair queue over the dispatch capacity, consulted in
-//     serve_request once GSI authentication has named the caller. An
+//     weighted fair queue over the dispatch capacity, consulted in the
+//     server's dispatch once GSI authentication has named the caller. An
 //     over-limit request receives a framed busy reply carrying
 //     BUSY=1 / RETRY_AFTER_MS=<n> instead of occupying a worker; the
 //     client's RetryPolicy honours the hint.

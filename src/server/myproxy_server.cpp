@@ -14,6 +14,7 @@
 #include "repository/credential_store.hpp"
 #include "replication/journal.hpp"
 #include "replication/wire.hpp"
+#include "server/http_binding.hpp"
 #include "server/reactor.hpp"
 
 namespace myproxy::server {
@@ -140,15 +141,16 @@ std::optional<pki::VerifiedIdentity> unseal_identity(
 }  // namespace
 
 IoModel io_model_from_string(std::string_view name) {
-  if (name == "threaded") return IoModel::kThreaded;
   if (name == "reactor") return IoModel::kReactor;
-  throw ConfigError(fmt::format(
-      "unknown io_model '{}' (expected 'threaded' or 'reactor')", name));
+  if (name == "threaded") {
+    throw ConfigError(
+        "io_model 'threaded' was removed; the reactor is the only front end");
+  }
+  throw ConfigError(
+      fmt::format("unknown io_model '{}' (expected 'reactor')", name));
 }
 
-std::string_view to_string(IoModel model) noexcept {
-  return model == IoModel::kThreaded ? "threaded" : "reactor";
-}
+std::string_view to_string(IoModel) noexcept { return "reactor"; }
 
 Response busy_response(Millis retry_after) {
   Response response =
@@ -161,11 +163,11 @@ Response busy_response(Millis retry_after) {
 namespace {
 
 /// A write reached the mutation point while its shard was in final
-/// migration cutover. serve_request answers with a busy hint — the cutover
+/// migration cutover. dispatch answers with a busy hint — the cutover
 /// lasts one journal drain, so "retry shortly" is exactly right.
 struct MigrationFenced {};
 
-/// A request slipped past the serve_request ownership check but lost the
+/// A request slipped past the dispatch ownership check but lost the
 /// race with a migration cutover; carries the WRONG_SHARD refusal naming
 /// the new owner.
 struct ClusterRefusal {
@@ -175,6 +177,25 @@ struct ClusterRefusal {
 /// Client-facing pacing hint while a shard is fenced: the cutover drain is
 /// a handful of journal batches, so one short beat is enough.
 constexpr Millis kFenceRetryAfter{200};
+
+/// Commands exempt from cluster ownership and admission. STATS and
+/// CLUSTER_MAP carry no username to route by, and an operator must always
+/// reach a saturated server; REPLICA_SYNC is a node-local stream that would
+/// otherwise pin a fair-queue slot for the life of the replica; the
+/// migration commands manage ownership itself, and shedding them under load
+/// would wedge exactly the rebalancing meant to relieve the load.
+bool is_control_plane(Command command) {
+  switch (command) {
+    case Command::kStats:
+    case Command::kReplicaSync:
+    case Command::kClusterMap:
+    case Command::kMigrate:
+    case Command::kMigrateInstall:
+      return true;
+    default:
+      return false;
+  }
+}
 
 /// How many per-identity admission rows STATS and /metrics surface.
 constexpr std::size_t kTopIdentities = 5;
@@ -257,13 +278,9 @@ void MyProxyServer::start() {
       config_.worker_threads,
       config_.max_pending_connections == 0 ? 256
                                            : config_.max_pending_connections);
-  if (config_.io_model == IoModel::kReactor) {
-    reactor_ = std::make_unique<Reactor>(*this, *listener_,
-                                         config_.reactor_threads);
-    reactor_->start();
-  } else {
-    accept_thread_ = std::thread([this] { accept_loop(); });
-  }
+  reactor_ = std::make_unique<Reactor>(*this, *listener_,
+                                       config_.reactor_threads);
+  reactor_->start();
   if (config_.metrics_enabled) {
     MetricsConfig metrics_config;
     metrics_config.enabled = true;
@@ -300,10 +317,8 @@ void MyProxyServer::start() {
       }
     });
   }
-  log::info(kLogComponent,
-            "myproxy-server listening on port {} as '{}' (io_model={})",
-            port_, host_credential_.identity().str(),
-            to_string(config_.io_model));
+  log::info(kLogComponent, "myproxy-server listening on port {} as '{}'",
+            port_, host_credential_.identity().str());
 }
 
 void MyProxyServer::stop() {
@@ -318,17 +333,9 @@ void MyProxyServer::stop() {
     const std::scoped_lock lock(stop_mutex_);
     stop_cv_.notify_all();
   }
-  // Reactor mode: stop the event loops first (eventfd wakeup + join); that
-  // also deregisters the listener and drops any connections still mid-
-  // handshake. Threaded mode: wake the accept thread with shutdown() (a
-  // read of the fd); close(), which rewrites the fd, must wait until after
-  // the join or it races the accept thread's own reads of the descriptor.
-  if (reactor_ != nullptr) {
-    reactor_->stop();
-    reactor_.reset();
-  }
-  if (listener_.has_value()) listener_->shutdown();
-  if (accept_thread_.joinable()) accept_thread_.join();
+  // Stop the event loops first (~Reactor: eventfd wakeup + join); that also
+  // deregisters the listener and drops any connections still mid-handshake.
+  reactor_.reset();
   if (sweep_thread_.joinable()) sweep_thread_.join();
   if (reload_thread_.joinable()) reload_thread_.join();
   metrics_.reset();  // before the pools: a scrape reads their gauges
@@ -373,45 +380,6 @@ void MyProxyServer::reload_loop() {
   }
 }
 
-void MyProxyServer::accept_loop() {
-  while (!stopping_.load()) {
-    net::Socket socket;
-    try {
-      socket = listener_->accept();
-    } catch (const IoError&) {
-      // Listener closed during shutdown.
-      break;
-    }
-    // Pre-auth gate: per-peer-address token bucket, consulted before a
-    // worker (and a TLS handshake) is spent on the connection.
-    if (!admission_.admit_preauth(socket.peer_address()).admitted) {
-      shed_connection(std::move(socket), "pre-auth address rate limit");
-      continue;
-    }
-    if (!reserve_connection_slot()) {
-      shed_connection(std::move(socket), "connection limit reached");
-      continue;
-    }
-    auto shared = std::make_shared<net::Socket>(std::move(socket));
-    const bool queued = pool_->try_submit([this, shared]() mutable {
-      handle_connection(std::move(*shared));
-      release_connection_slot();
-    });
-    if (!queued) {
-      release_connection_slot();
-      if (stopping_.load()) {
-        // Pool refused because we are shutting down: close the socket
-        // deliberately (peer sees a clean RST/FIN, not a silent leak).
-        log::info(kLogComponent,
-                  "connection refused: server is shutting down");
-        shared->close();
-        break;
-      }
-      shed_connection(std::move(*shared), "worker queue full");
-    }
-  }
-}
-
 bool MyProxyServer::reserve_connection_slot() {
   const std::size_t current =
       in_flight_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -432,54 +400,19 @@ void MyProxyServer::release_connection_slot() {
 }
 
 void MyProxyServer::shed_connection(net::Socket socket,
-                                    std::string_view reason) {
+                                    std::string_view reason,
+                                    const Response& reply) {
   stats_.shed_connections.fetch_add(1, std::memory_order_relaxed);
   log::warn(kLogComponent, "shedding connection: {}", reason);
   try {
-    // Best-effort courtesy note on the raw socket; TLS clients will instead
-    // see the connection closed before the handshake, which their retry
-    // logic treats as transient. A stalled peer cannot hold us here past
-    // the short write deadline.
-    socket.set_write_timeout(Millis(100));
+    // Best-effort courtesy note, one non-blocking write; TLS clients see the
+    // connection closed before the handshake, which they retry.
+    socket.set_nonblocking(true);
     net::PlainChannel channel(std::move(socket));
-    channel.send(Response::make_error("server busy, try again").serialize());
+    channel.send(reply.serialize());
     channel.close();
   } catch (const std::exception&) {
     // Shedding is advisory; failure to notify the peer is acceptable.
-  }
-}
-
-void MyProxyServer::handle_connection(net::Socket socket) {
-  stats_.connections.fetch_add(1, std::memory_order_relaxed);
-  try {
-    auto channel = tls::TlsChannel::accept(tls_context_, std::move(socket),
-                                           config_.handshake_timeout);
-    // Handshake done: switch the socket from the handshake budget to the
-    // per-request idle budget.
-    channel->set_deadlines(config_.request_timeout, config_.request_timeout);
-    // Mutual authentication: verify the client's chain under GSI rules on a
-    // full handshake, or unseal the ticket-borne identity on a resumption.
-    pki::VerifiedIdentity peer;
-    try {
-      peer = authenticate_peer(*channel);
-    } catch (const Error& e) {
-      stats_.auth_failures.fetch_add(1, std::memory_order_relaxed);
-      log::warn(kLogComponent, "client authentication failed: {}", e.what());
-      audit_.record({now(), "CONNECT", "", "",
-                     AuditOutcome::kAuthenticationFailure, e.what()});
-      channel->send(Response::make_error("authentication failed")
-                        .serialize());
-      return;
-    }
-    serve_channel(*channel, peer);
-  } catch (const IoTimeout& e) {
-    // Slow, silent, or stalled peer: the deadline fired and the worker is
-    // now free again. This is the DoS-resilience path, not a server bug.
-    stats_.timeouts.fetch_add(1, std::memory_order_relaxed);
-    log::warn(kLogComponent, "connection timed out: {}", e.what());
-  } catch (const std::exception& e) {
-    stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-    log::warn(kLogComponent, "connection aborted: {}", e.what());
   }
 }
 
@@ -519,9 +452,12 @@ void MyProxyServer::serve_accepted(std::shared_ptr<tls::TlsChannel> channel,
                                    std::string raw_request) {
   try {
     // The event loop enforced the handshake/request deadlines with timers;
-    // from here the worker uses blocking I/O under the per-request budget,
-    // exactly like the threaded path after its handshake.
+    // from here the worker uses blocking I/O under the per-request budget.
+    channel->make_blocking();
     channel->set_deadlines(config_.request_timeout, config_.request_timeout);
+    // Codec by first message, chosen before authentication so an HTTP
+    // client gets even its authentication failure as HTTP.
+    const bool http = http_binding::is_http(raw_request);
     pki::VerifiedIdentity peer;
     try {
       peer = authenticate_peer(*channel);
@@ -530,12 +466,32 @@ void MyProxyServer::serve_accepted(std::shared_ptr<tls::TlsChannel> channel,
       log::warn(kLogComponent, "client authentication failed: {}", e.what());
       audit_.record({now(), "CONNECT", "", "",
                      AuditOutcome::kAuthenticationFailure, e.what()});
-      channel->send(Response::make_error("authentication failed")
-                        .serialize());
+      channel->send(http ? http_binding::error_reply(
+                               ErrorCode::kAuthentication,
+                               "authentication failed")
+                               .serialize()
+                         : Response::make_error("authentication failed")
+                               .serialize());
       return;
     }
-    serve_request(*channel, peer, raw_request);
+    if (http) {
+      serve_http(*channel, peer, raw_request);
+      return;
+    }
+    Request request;
+    try {
+      request = Request::parse(raw_request);
+    } catch (const Error& e) {
+      stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
+      log::warn(kLogComponent, "bad request from '{}': {}",
+                peer.identity.str(), e.what());
+      channel->send(Response::make_error("malformed request").serialize());
+      return;
+    }
+    (void)dispatch(*channel, peer, request);
   } catch (const IoTimeout& e) {
+    // Slow, silent, or stalled peer: the deadline fired and the worker is
+    // now free again. This is the DoS-resilience path, not a server bug.
     stats_.timeouts.fetch_add(1, std::memory_order_relaxed);
     log::warn(kLogComponent, "connection timed out: {}", e.what());
   } catch (const std::exception& e) {
@@ -544,37 +500,26 @@ void MyProxyServer::serve_accepted(std::shared_ptr<tls::TlsChannel> channel,
   }
 }
 
-void MyProxyServer::serve_channel(net::Channel& channel,
-                                  const pki::VerifiedIdentity& peer) {
-  std::string raw;
-  try {
-    raw = channel.receive();
-  } catch (const IoTimeout&) {
-    throw;  // stalled peer: counted in handle_connection, no reply owed
-  } catch (const Error& e) {
+void MyProxyServer::serve_http(net::Channel& channel,
+                               const pki::VerifiedIdentity& peer,
+                               std::string_view raw_request) {
+  bool dispatched = false;
+  const portal::HttpResponse response = http_binding::serve(
+      raw_request, [&](net::Channel& exchange, const Request& request) {
+        dispatched = true;
+        return dispatch(exchange, peer, request);
+      });
+  if (!dispatched) {
     stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-    log::warn(kLogComponent, "bad request from '{}': {}",
-              peer.identity.str(), e.what());
-    channel.send(Response::make_error("malformed request").serialize());
-    return;
+    log::warn(kLogComponent, "bad HTTP request from '{}': {} {}",
+              peer.identity.str(), response.status, response.reason);
   }
-  serve_request(channel, peer, raw);
+  channel.send(response.serialize());
 }
 
-void MyProxyServer::serve_request(net::Channel& channel,
-                                  const pki::VerifiedIdentity& peer,
-                                  std::string_view raw_request) {
-  Request request;
-  try {
-    request = Request::parse(raw_request);
-  } catch (const Error& e) {
-    stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-    log::warn(kLogComponent, "bad request from '{}': {}",
-              peer.identity.str(), e.what());
-    channel.send(Response::make_error("malformed request").serialize());
-    return;
-  }
-
+std::optional<ErrorCode> MyProxyServer::dispatch(
+    net::Channel& channel, const pki::VerifiedIdentity& peer,
+    const Request& request) {
   log::info(kLogComponent, "{} user='{}' from '{}' (proxy depth {})",
             to_string(request.command), request.username,
             peer.identity.str(), peer.proxy_depth);
@@ -587,15 +532,18 @@ void MyProxyServer::serve_request(net::Channel& channel,
   // and the map epoch — a routing-aware client refreshes its map and
   // retries there. Checked before the replica redirect: a replica answers
   // for its own node's shards only.
-  if (auto refusal = cluster_ownership_refusal(request)) {
+  const bool control_plane = is_control_plane(request.command);
+  std::optional<Response> wrong_shard;
+  if (!control_plane) wrong_shard = cluster_refusal_for(request.username);
+  if (wrong_shard.has_value()) {
     stats_.cluster_wrong_shard.fetch_add(1, std::memory_order_relaxed);
     audit_event.outcome = AuditOutcome::kError;
     audit_event.detail =
         fmt::format("wrong shard (owner primary {})",
-                    refusal->fields["PRIMARY"]);
+                    wrong_shard->fields["PRIMARY"]);
     audit_.record(std::move(audit_event));
-    channel.send(refusal->serialize());
-    return;
+    channel.send(wrong_shard->serialize());
+    return std::nullopt;
   }
 
   // Fast-path fence refusal: a write for a shard in final migration
@@ -618,7 +566,7 @@ void MyProxyServer::serve_request(net::Channel& channel,
       audit_event.detail = "write fenced during shard cutover";
       audit_.record(std::move(audit_event));
       channel.send(busy_response(kFenceRetryAfter).serialize());
-      return;
+      return std::nullopt;
     }
   }
 
@@ -636,21 +584,13 @@ void MyProxyServer::serve_request(net::Channel& channel,
     audit_event.detail = "redirected write to primary";
     audit_.record(std::move(audit_event));
     channel.send(redirect.serialize());
-    return;
+    return std::nullopt;
   }
 
   // Per-identity admission: token bucket + fair queue keyed on the
-  // authenticated DN. STATS stays exempt so an operator can always reach a
-  // saturated server; REPLICA_SYNC streams for the life of the replica and
-  // would otherwise pin a fair-queue slot forever. The cluster control
-  // plane (map fetch, migration) is likewise exempt: shedding it under
-  // load would wedge exactly the rebalancing meant to relieve the load.
+  // authenticated DN.
   std::optional<AdmissionGuard> admission_guard;
-  if (request.command != Command::kStats &&
-      request.command != Command::kReplicaSync &&
-      request.command != Command::kClusterMap &&
-      request.command != Command::kMigrate &&
-      request.command != Command::kMigrateInstall) {
+  if (!control_plane) {
     const AdmissionDecision decision = admission_.admit(peer.identity.str());
     if (!decision.admitted) {
       log::warn(kLogComponent, "admission shed ({}) for '{}': retry in {} ms",
@@ -660,7 +600,7 @@ void MyProxyServer::serve_request(net::Channel& channel,
       audit_event.detail = fmt::format("admission shed ({})", decision.reason);
       audit_.record(std::move(audit_event));
       channel.send(busy_response(decision.retry_after).serialize());
-      return;
+      return std::nullopt;
     }
     admission_guard.emplace(admission_, peer.identity.str());
   }
@@ -745,7 +685,7 @@ void MyProxyServer::serve_request(net::Channel& channel,
     channel.send(refusal.response.serialize());
   } catch (const IoTimeout& e) {
     // Mid-command stall: the deadline freed this worker. Record the audit
-    // outcome here, then let handle_connection count the timeout — the
+    // outcome here, then let serve_accepted count the timeout — the
     // stalled channel is not worth another write.
     audit_event.outcome = AuditOutcome::kError;
     audit_event.detail = e.what();
@@ -768,7 +708,9 @@ void MyProxyServer::serve_request(net::Channel& channel,
     log::warn(kLogComponent, "{} for user '{}' failed: {}",
               to_string(request.command), request.username, e.what());
     channel.send(error_response(e).serialize());
+    return e.code();
   }
+  return std::nullopt;
 }
 
 crypto::KeyPair MyProxyServer::next_delegation_key() {
@@ -1314,24 +1256,6 @@ std::optional<Response> MyProxyServer::cluster_refusal_for(
   return refusal;
 }
 
-std::optional<Response> MyProxyServer::cluster_ownership_refusal(
-    const Request& request) {
-  switch (request.command) {
-    // The control plane and admin surfaces answer on any node: STATS and
-    // CLUSTER_MAP carry no username to route by, REPLICA_SYNC is a
-    // node-local stream, and the migration commands manage ownership
-    // itself.
-    case Command::kStats:
-    case Command::kReplicaSync:
-    case Command::kClusterMap:
-    case Command::kMigrate:
-    case Command::kMigrateInstall:
-      return std::nullopt;
-    default:
-      return cluster_refusal_for(request.username);
-  }
-}
-
 std::shared_lock<std::shared_mutex> MyProxyServer::cluster_write_permit(
     const std::string& username) {
   std::shared_lock<std::shared_mutex> permit(fence_mutex_);
@@ -1345,7 +1269,7 @@ std::shared_lock<std::shared_mutex> MyProxyServer::cluster_write_permit(
     }
   }
   // Ownership may have moved while this request was mid-protocol (the
-  // cutover completed between the serve_request check and the mutation):
+  // cutover completed between the dispatch check and the mutation):
   // re-check under the permit so a write can never land on a shard this
   // node no longer owns.
   if (auto refusal = cluster_refusal_for(username)) {

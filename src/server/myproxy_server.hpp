@@ -7,8 +7,11 @@
 // restrictions, before the protocol command is dispatched to the
 // Repository. An `authorized_renewers` ACL gates the §6.6 renewal path.
 //
-// Threading: one accept loop thread; connections are serviced on a bounded
-// ThreadPool (the repository is a shared production service, §3.3).
+// Threading: the Reactor's epoll loops own connection I/O up to the first
+// request; a bounded ThreadPool runs authentication and the command core
+// (the repository is a shared production service, §3.3). The same core
+// serves the native protocol and its §6.4 HTTP binding (http_binding.hpp),
+// chosen per connection from the first message.
 #pragma once
 
 #include <array>
@@ -23,6 +26,7 @@
 #include <vector>
 
 #include "cluster/cluster_map.hpp"
+#include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "crypto/keypair_pool.hpp"
 #include "gsi/acl.hpp"
@@ -44,15 +48,13 @@ namespace myproxy::server {
 
 class Reactor;
 
-/// Connection I/O model. kThreaded is the original flow: the accept thread
-/// hands each socket to a pool worker that runs the whole connection with
-/// blocking I/O under SO_*TIMEO deadlines — concurrency is capped by
-/// worker_threads. kReactor moves accept, the TLS handshake, and reading
-/// the request onto epoll event loops (non-blocking, timer-enforced
-/// deadlines), so thousands of connections can be in flight while the
-/// ThreadPool runs only crypto-heavy work (chain verification, keygen,
-/// proxy signing) and long-lived REPLICA_SYNC streams.
-enum class IoModel { kThreaded, kReactor };
+/// Connection I/O model: the epoll Reactor is the only front end. IoModel,
+/// io_model_from_string, to_string(IoModel) and ServerConfig::io_model
+/// survive only until the benchmark's copy of the config-to-stack assembly
+/// moves into src/; io_model_from_string rejects the removed "threaded"
+/// model with a ConfigError. kReactor keeps the value it had beside the
+/// removed model, so printed values stay stable.
+enum class IoModel { kReactor = 1 };
 
 [[nodiscard]] IoModel io_model_from_string(std::string_view name);
 [[nodiscard]] std::string_view to_string(IoModel model) noexcept;
@@ -74,11 +76,11 @@ struct ServerConfig {
 
   std::size_t worker_threads = 4;
 
-  /// How connections are accepted and read; see IoModel.
+  /// Always the reactor; see IoModel.
   IoModel io_model = IoModel::kReactor;
 
-  /// Event-loop threads for io_model=reactor (loop 0 owns the listener and
-  /// accepted connections are distributed round-robin).
+  /// Reactor event-loop threads (loop 0 owns the listener and accepted
+  /// connections are distributed round-robin).
   std::size_t reactor_threads = 2;
 
   pki::VerifyOptions verify_options;
@@ -89,8 +91,8 @@ struct ServerConfig {
   Seconds sweep_interval{60};
 
   /// Deadline for the TLS handshake on a freshly accepted connection. A
-  /// client that completes TCP connect but never speaks TLS (slowloris)
-  /// frees its worker after this long. Zero disables the deadline.
+  /// client that completes TCP connect but never speaks TLS (slowloris) is
+  /// closed after this long. Zero disables the deadline.
   Millis handshake_timeout{10000};
 
   /// Per-read/per-write deadline while servicing a request. A client that
@@ -98,8 +100,8 @@ struct ServerConfig {
   Millis request_timeout{30000};
 
   /// Maximum connections in flight (queued + being serviced). Further
-  /// accepts are shed with a best-effort "server busy" response instead of
-  /// blocking the accept loop. Zero means unlimited.
+  /// accepts are shed with a best-effort "server busy" response. Zero
+  /// means unlimited.
   std::size_t max_connections = 256;
 
   /// Bound on the worker-pool queue; overflow is shed like max_connections.
@@ -257,7 +259,7 @@ class MyProxyServer {
   MyProxyServer(const MyProxyServer&) = delete;
   MyProxyServer& operator=(const MyProxyServer&) = delete;
 
-  /// Bind, start the accept loop, and return (non-blocking).
+  /// Bind, start the reactor, and return (non-blocking).
   void start();
 
   /// Stop accepting, drain in-flight connections, join.
@@ -274,12 +276,6 @@ class MyProxyServer {
   [[nodiscard]] const repository::Repository& repository() const {
     return *repository_;
   }
-
-  /// Service one already-authenticated message channel. Public so tests
-  /// and in-process benchmarks can exercise the full command dispatch
-  /// without TCP or TLS.
-  void serve_channel(net::Channel& channel,
-                     const pki::VerifiedIdentity& peer);
 
   /// In-flight connection gauge (reserved slots), for tests and benches.
   [[nodiscard]] std::size_t in_flight() const {
@@ -339,9 +335,6 @@ class MyProxyServer {
   [[nodiscard]] std::string render_metrics() const;
 
  private:
-  void accept_loop();
-  void handle_connection(net::Socket socket);
-
   /// SIGHUP hot-reload poll loop: re-reads config_file when the signal
   /// handler bumps the reload generation, then applies the admission keys.
   void reload_loop();
@@ -360,15 +353,25 @@ class MyProxyServer {
   void release_connection_slot();
 
   /// Reactor handoff target, run on a pool worker: the event loop has
-  /// already completed the TLS handshake and read `raw_request`; this
-  /// authenticates the peer (chain verification is crypto-heavy and does
-  /// not belong on an event loop) and dispatches the pre-read request.
+  /// already completed the TLS handshake and read `raw_request`; this picks
+  /// the codec (native or HTTP) from that first message, authenticates the
+  /// peer (chain verification is crypto-heavy and does not belong on an
+  /// event loop) and serves the pre-read request.
   void serve_accepted(std::shared_ptr<tls::TlsChannel> channel,
                       std::string raw_request);
 
-  /// Parse and dispatch one already-received request.
-  void serve_request(net::Channel& channel, const pki::VerifiedIdentity& peer,
-                     std::string_view raw_request);
+  /// HTTP codec (§6.4): run the form through dispatch and answer with one
+  /// HTTP response.
+  void serve_http(net::Channel& channel, const pki::VerifiedIdentity& peer,
+                  std::string_view raw_request);
+
+  /// The command core every binding shares: cluster ownership, migration
+  /// fence, replica read-only, admission, the latency histogram, audit and
+  /// the handler. Replies go to `channel`; returns the ErrorCode a handler
+  /// failed with (its error frame already sent), or nullopt.
+  std::optional<ErrorCode> dispatch(net::Channel& channel,
+                                    const pki::VerifiedIdentity& peer,
+                                    const protocol::Request& request);
 
   /// Fresh delegation key: pooled when possible, synchronous otherwise.
   [[nodiscard]] crypto::KeyPair next_delegation_key();
@@ -380,10 +383,11 @@ class MyProxyServer {
   [[nodiscard]] pki::VerifiedIdentity authenticate_peer(
       tls::TlsChannel& channel);
 
-  /// Refuse `socket` because the server is at capacity: best-effort framed
-  /// "server busy" error on the raw socket, then close. Never blocks the
-  /// accept loop for more than a short write deadline.
-  void shed_connection(net::Socket socket, std::string_view reason);
+  /// Refuse a just-accepted `socket` before any TLS: one non-blocking
+  /// attempt to write `reply` as a plaintext frame, then close. Never
+  /// blocks the event loop.
+  void shed_connection(net::Socket socket, std::string_view reason,
+                       const protocol::Response& reply);
 
   void handle_put(net::Channel& channel, const protocol::Request& request,
                   const pki::VerifiedIdentity& peer);
@@ -421,20 +425,14 @@ class MyProxyServer {
                               const protocol::Request& request,
                               const pki::VerifiedIdentity& peer);
 
-  /// Cluster-ownership verdict for `request`, or nullopt when the request
-  /// may proceed (clustering off, exempt command, or this node owns the
-  /// user's shard). The refusal carries WRONG_SHARD/SHARD/EPOCH/PRIMARY.
-  [[nodiscard]] std::optional<protocol::Response> cluster_ownership_refusal(
-      const protocol::Request& request);
-
-  /// Command-agnostic half of the ownership check: the WRONG_SHARD refusal
+  /// Cluster ownership check: the WRONG_SHARD refusal (SHARD/EPOCH/PRIMARY)
   /// for `username`, or nullopt when this node owns (or clustering is off).
   [[nodiscard]] std::optional<protocol::Response> cluster_refusal_for(
       const std::string& username);
 
   /// Write fence for shard migration: returns a shared permit that must be
   /// held across the repository mutation, or throws (caught in
-  /// serve_request as a busy refusal) when `username`'s shard is in final
+  /// dispatch as a busy refusal) when `username`'s shard is in final
   /// cutover. The cutover thread sets fenced_shard_, then acquires
   /// fence_mutex_ exclusively once — a barrier that waits out every write
   /// already past this check — and only then drains the journal tail, so
@@ -485,7 +483,6 @@ class MyProxyServer {
   std::unique_ptr<MetricsEndpoint> metrics_;
   std::optional<net::TcpListener> listener_;
   std::uint16_t port_ = 0;
-  std::thread accept_thread_;
   std::thread sweep_thread_;
   std::thread reload_thread_;
   std::uint64_t seen_reload_generation_ = 0;

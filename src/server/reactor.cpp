@@ -83,8 +83,20 @@ void Reactor::on_accept_ready() {
       return;  // listener shut down
     }
     if (!socket.has_value()) return;
+    // Pre-auth gate: per-peer-address token bucket, consulted before a
+    // handshake or a worker is spent on the connection.
+    const AdmissionDecision preauth =
+        server_.admission_.admit_preauth(socket->peer_address());
+    if (!preauth.admitted) {
+      server_.shed_connection(std::move(*socket),
+                              "pre-auth address rate limit",
+                              busy_response(preauth.retry_after));
+      continue;
+    }
     if (!server_.reserve_connection_slot()) {
-      server_.shed_connection(std::move(*socket), "connection limit reached");
+      server_.shed_connection(
+          std::move(*socket), "connection limit reached",
+          protocol::Response::make_error("server busy, try again"));
       continue;
     }
     server_.stats_.connections.fetch_add(1, std::memory_order_relaxed);
@@ -116,18 +128,26 @@ void Reactor::begin_connection(std::size_t loop_index, net::Socket socket) {
     log::warn(kLogComponent, "connection setup failed: {}", e.what());
     return;
   }
-  if (server_.config_.handshake_timeout.count() > 0) {
-    conn->deadline_timer = loops_[loop_index]->add_timer(
-        server_.config_.handshake_timeout, [this, conn] {
-          conn->timer_armed = false;
-          server_.stats_.timeouts.fetch_add(1, std::memory_order_relaxed);
-          log::warn(kLogComponent, "connection timed out: TLS handshake "
-                                   "deadline expired");
-          detach(conn);
-        });
-    conn->timer_armed = true;
-  }
+  arm_deadline(conn, server_.config_.handshake_timeout, "TLS handshake");
   advance(conn);
+}
+
+void Reactor::arm_deadline(const std::shared_ptr<Connection>& conn,
+                           Millis budget, std::string_view phase) {
+  auto& loop = *loops_[conn->loop_index];
+  if (conn->timer_armed) {
+    loop.cancel_timer(conn->deadline_timer);
+    conn->timer_armed = false;
+  }
+  if (budget.count() <= 0) return;
+  conn->deadline_timer = loop.add_timer(budget, [this, conn, phase] {
+    conn->timer_armed = false;
+    server_.stats_.timeouts.fetch_add(1, std::memory_order_relaxed);
+    log::warn(kLogComponent, "connection timed out: {} deadline expired",
+              phase);
+    detach(conn);
+  });
+  conn->timer_armed = true;
 }
 
 void Reactor::advance(const std::shared_ptr<Connection>& conn) {
@@ -140,23 +160,8 @@ void Reactor::advance(const std::shared_ptr<Connection>& conn) {
         if (want == tls::IoWant::kDone) {
           conn->state = Connection::State::kRequest;
           // Handshake done: swap the handshake budget for the per-request
-          // budget (mirrors the blocking path's set_deadlines call).
-          if (conn->timer_armed) {
-            loop.cancel_timer(conn->deadline_timer);
-            conn->timer_armed = false;
-          }
-          if (server_.config_.request_timeout.count() > 0) {
-            conn->deadline_timer = loop.add_timer(
-                server_.config_.request_timeout, [this, conn] {
-                  conn->timer_armed = false;
-                  server_.stats_.timeouts.fetch_add(1,
-                                                    std::memory_order_relaxed);
-                  log::warn(kLogComponent,
-                            "connection timed out: request deadline expired");
-                  detach(conn);
-                });
-            conn->timer_armed = true;
-          }
+          // budget.
+          arm_deadline(conn, server_.config_.request_timeout, "request");
           continue;
         }
       } else {
@@ -182,7 +187,7 @@ void Reactor::advance(const std::shared_ptr<Connection>& conn) {
     }
   } catch (const std::exception& e) {
     // Garbage instead of TLS, a torn connection, or an oversized frame:
-    // count and drop, exactly like the threaded path's catch-all.
+    // count and drop.
     server_.stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
     log::warn(kLogComponent, "connection aborted: {}", e.what());
     detach(conn);
@@ -203,30 +208,11 @@ void Reactor::detach(const std::shared_ptr<Connection>& conn) {
 
 void Reactor::hand_off(const std::shared_ptr<Connection>& conn) {
   detach(conn);
-  conn->channel->make_blocking();
   std::shared_ptr<tls::TlsChannel> channel(std::move(conn->channel));
   conn->slot_transferred = true;
 
-  // Pre-auth gate, mirroring the threaded accept_loop. The handshake is
-  // already paid for on this path (the reactor fronts it), but the gate
-  // still keeps an abusive address from monopolizing the worker pool.
-  const AdmissionDecision preauth =
-      server_.admission_.admit_preauth(net::peer_address_of(channel->fd()));
-  if (!preauth.admitted) {
-    server_.release_connection_slot();
-    server_.stats_.shed_connections.fetch_add(1, std::memory_order_relaxed);
-    log::warn(kLogComponent, "shedding connection: pre-auth address rate "
-                             "limit");
-    try {
-      channel->set_deadlines(Millis(100), Millis(100));
-      channel->send(busy_response(preauth.retry_after).serialize());
-    } catch (const std::exception&) {
-      // Best-effort, as in the threaded shed path.
-    }
-    channel->close();
-    return;
-  }
-
+  // The worker flips the socket to blocking (serve_accepted); the loop
+  // only ever touches it non-blocking.
   const bool queued = server_.pool_->try_submit(
       [srv = &server_, channel, request = std::move(conn->request)]() mutable {
         srv->serve_accepted(std::move(channel), std::move(request));
@@ -237,14 +223,12 @@ void Reactor::hand_off(const std::shared_ptr<Connection>& conn) {
     server_.stats_.shed_connections.fetch_add(1, std::memory_order_relaxed);
     log::warn(kLogComponent, "shedding connection: worker queue full");
     try {
-      // Unlike the threaded path (which sheds before TLS), the handshake is
-      // complete here, so the busy note can travel framed over TLS. The
-      // short deadline keeps a stalled peer from pinning the event loop.
-      channel->set_deadlines(Millis(100), Millis(100));
+      // The handshake is complete here, so the busy note travels framed
+      // over TLS: one best-effort write on the still non-blocking socket.
       channel->send(protocol::Response::make_error("server busy, try again")
                         .serialize());
     } catch (const std::exception&) {
-      // Best-effort, as in the threaded shed path.
+      // Shedding is advisory; failure to notify the peer is acceptable.
     }
     channel->close();
   }

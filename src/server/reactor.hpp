@@ -1,30 +1,33 @@
-// Event-driven connection front end for the MyProxy server
-// (io_model=reactor).
+// Event-driven connection front end for the MyProxy server.
 //
 // The reactor owns the phases of a connection that an attacker can make
 // arbitrarily slow — accept, the TLS handshake, and reading the framed
 // request — and runs them non-blocking on a small set of epoll event
 // loops, so ten thousand idle or dribbling connections cost file
 // descriptors and a few KB of state instead of pinned worker threads.
-// Once a complete request is in hand, the socket is flipped back to
-// blocking mode (with the per-request SO_*TIMEO deadlines) and the
-// connection is handed to the ThreadPool, which runs everything
+// Sheds happen here without blocking a loop: the pre-auth address gate and
+// the connection cap refuse at accept time, before any TLS, and a full
+// worker queue refuses at hand-off; each refusal is one non-blocking
+// best-effort write. Once a complete request is in hand, the connection is
+// handed to the ThreadPool, whose worker flips the socket back to blocking
+// (with the per-request SO_*TIMEO deadlines) and runs everything
 // crypto-heavy — GSI chain verification, keygen, proxy signing — and the
-// long-lived REPLICA_SYNC streams, exactly as in the threaded model.
+// long-lived REPLICA_SYNC streams.
 //
 // Deadlines are event-loop timers here (one per connection): the
 // handshake_timeout budget covers accept → handshake completion, and the
 // request_timeout budget covers reading the request. A fired timer closes
-// the connection and counts a ServerStats timeout, mirroring the blocking
-// path's SO_RCVTIMEO behaviour.
+// the connection and counts a ServerStats timeout.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <memory>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "common/clock.hpp"
 #include "net/event_loop.hpp"
 #include "net/socket.hpp"
 #include "tls/tls_channel.hpp"
@@ -53,6 +56,11 @@ class Reactor {
 
   void on_accept_ready();
   void begin_connection(std::size_t loop_index, net::Socket socket);
+
+  /// Replace the connection's deadline timer with one for `phase` that
+  /// fires after `budget` (zero: no deadline).
+  void arm_deadline(const std::shared_ptr<Connection>& conn, Millis budget,
+                    std::string_view phase);
 
   /// Drive the connection as far as readiness allows, then re-arm epoll
   /// interest for whatever the TLS layer wants next.

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <ostream>
 
 namespace myproxy::strings {
 namespace {
@@ -99,6 +100,14 @@ struct GlobCase {
   const char* text;
   bool match;
 };
+
+// Print the case by value so the discovered test names are stable. gtest's
+// default printer dumps the struct's raw bytes, which include the literals'
+// addresses and padding, so the names would change from build to build.
+void PrintTo(const GlobCase& c, std::ostream* os) {
+  *os << "{\"" << c.pattern << "\", \"" << c.text << "\", "
+      << (c.match ? "true" : "false") << "}";
+}
 
 class GlobMatch : public ::testing::TestWithParam<GlobCase> {};
 

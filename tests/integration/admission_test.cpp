@@ -1,9 +1,9 @@
 // End-to-end admission control: a greedy identity flooding the server is
 // shed with framed busy/retry-after replies while polite identities see
-// zero sheds, on both io models; the client RetryPolicy honors the hint;
-// SIGHUP re-reads the config file and tightens limits without dropping
-// established TLS sessions; the pre-auth per-address gate sheds abusive
-// connect storms before a worker is spent.
+// zero sheds; the client RetryPolicy honors the hint; SIGHUP re-reads the
+// config file and tightens limits without dropping established TLS
+// sessions; the pre-auth per-address gate sheds abusive connect storms at
+// accept time, before a TLS handshake or a worker is spent.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -49,11 +49,10 @@ std::shared_ptr<repository::Repository> make_repo() {
       std::make_unique<repository::MemoryCredentialStore>(), policy);
 }
 
-server::ServerConfig base_config(server::IoModel io_model) {
+server::ServerConfig base_config() {
   server::ServerConfig config;
   config.accepted_credentials.add("*");
   config.authorized_retrievers.add("*");
-  config.io_model = io_model;
   config.worker_threads = 4;
   return config;
 }
@@ -64,13 +63,13 @@ RetryPolicy no_retry() {
   return policy;
 }
 
-// --- Greedy vs polite, both io models ----------------------------------------
+// --- Greedy vs polite ----------------------------------------------------------
 
 class AdmissionIoTest : public ::testing::TestWithParam<server::IoModel> {};
 
 TEST_P(AdmissionIoTest, GreedyFloodIsShedWhilePoliteClientsSucceed) {
   auto repo = make_repo();
-  server::ServerConfig config = base_config(GetParam());
+  server::ServerConfig config = base_config();
   // Small per-identity budget: polite clients pace themselves well under
   // it; the greedy identity offers an order of magnitude more.
   config.admission.rate_limit_rps = 5.0;
@@ -140,9 +139,9 @@ TEST_P(AdmissionIoTest, GreedyFloodIsShedWhilePoliteClientsSucceed) {
   server.stop();
 }
 
+// The reactor is the only front end; the instantiation keeps its name.
 INSTANTIATE_TEST_SUITE_P(IoModels, AdmissionIoTest,
-                         ::testing::Values(server::IoModel::kThreaded,
-                                           server::IoModel::kReactor),
+                         ::testing::Values(server::IoModel::kReactor),
                          [](const auto& info) {
                            return std::string(server::to_string(info.param));
                          });
@@ -151,7 +150,7 @@ INSTANTIATE_TEST_SUITE_P(IoModels, AdmissionIoTest,
 
 TEST(AdmissionRetry, ClientRetryPolicyHonorsBusyHint) {
   auto repo = make_repo();
-  server::ServerConfig config = base_config(server::IoModel::kThreaded);
+  server::ServerConfig config = base_config();
   // One token per two seconds: the PUT spends the burst and the GET right
   // behind it is shed with a hint of roughly the remaining refill time.
   config.admission.rate_limit_rps = 0.5;
@@ -185,7 +184,7 @@ TEST(AdmissionRetry, ClientRetryPolicyHonorsBusyHint) {
 
 TEST(AdmissionTopIdentities, StatsNameTheHeaviestShedderFirst) {
   auto repo = make_repo();
-  server::ServerConfig config = base_config(server::IoModel::kThreaded);
+  server::ServerConfig config = base_config();
   // One token every two seconds: the first op per identity is served off
   // the burst, everything offered behind it is shed.
   config.admission.rate_limit_rps = 0.5;
@@ -252,7 +251,7 @@ TEST(AdmissionReload, SighupTightensLimitsWithoutDroppingSessions) {
                              << "rate_limit_burst 100\n";
 
   auto repo = make_repo();
-  server::ServerConfig config = base_config(server::IoModel::kThreaded);
+  server::ServerConfig config = base_config();
   config.admission.rate_limit_rps = 100.0;
   config.admission.rate_limit_burst = 100.0;
   config.config_file = config_path;
@@ -310,15 +309,15 @@ TEST(AdmissionReload, SighupTightensLimitsWithoutDroppingSessions) {
 
 TEST(AdmissionPreauth, AcceptPathShedsConnectStorm) {
   auto repo = make_repo();
-  server::ServerConfig config = base_config(server::IoModel::kThreaded);
+  server::ServerConfig config = base_config();
   config.admission.preauth_rate_limit_rps = 1.0;
   config.admission.preauth_rate_limit_burst = 2.0;
   server::MyProxyServer server(make_host("admission-preauth-myproxy"),
                                make_trust_store(), repo, config);
   server.start();
 
-  // Raw connects, no TLS: the gate sits before the handshake on this path,
-  // so the storm costs the server nothing but an accept.
+  // Raw connects, no TLS: the gate sits right after accept, so the storm
+  // costs the server nothing but an accept — never a handshake.
   for (int i = 0; i < 10; ++i) {
     try {
       net::Socket socket = net::tcp_connect(server.port());
@@ -335,15 +334,17 @@ TEST(AdmissionPreauth, AcceptPathShedsConnectStorm) {
   }
   EXPECT_GE(shed, 1u) << "connect storm was never shed";
   EXPECT_GE(server.admission().counters().preauth_accepted, 1u);
+  EXPECT_EQ(server.stats().full_handshakes.load(), 0u)
+      << "the storm was charged a TLS handshake";
   server.stop();
 }
 
 TEST(AdmissionPreauth, ReactorPathShedsAfterHandshake) {
   auto repo = make_repo();
-  server::ServerConfig config = base_config(server::IoModel::kReactor);
+  server::ServerConfig config = base_config();
   config.reactor_threads = 2;
   // One connection per five seconds after a burst of two: the third
-  // one-command connection in quick succession is refused at hand-off.
+  // one-command connection in quick succession is refused at accept.
   config.admission.preauth_rate_limit_rps = 0.2;
   config.admission.preauth_rate_limit_burst = 2.0;
   server::MyProxyServer server(make_host("admission-preauth-reactor"),
@@ -356,9 +357,9 @@ TEST(AdmissionPreauth, ReactorPathShedsAfterHandshake) {
   client.put("admission-preauth-alice", kPhrase, proxy);  // token 1
   EXPECT_EQ(client.get("admission-preauth-alice", kPhrase).identity(),
             user.identity());  // token 2
-  // On the reactor path the handshake is already paid for, so the refusal
-  // arrives as a framed busy reply over TLS — though the race between the
-  // reply and the server's close can also surface as a transport error.
+  // The gate refuses before the TLS handshake, so the busy note arrives as
+  // a plaintext frame a TLS client cannot read: the refusal surfaces as a
+  // transport error (or, had the handshake been reached, a busy reply).
   int refusals = 0;
   for (int i = 0; i < 3; ++i) {
     try {

@@ -1,8 +1,6 @@
-// Reactor-path integration tests (io_model=reactor, selected explicitly):
-// the epoll front end must keep every behaviour of the threaded path —
-// deadline reaping, hostile-byte tolerance, session resumption, concurrent
-// load — while adding the one property threads cannot give: idle
-// connections cost state, not workers.
+// Reactor integration tests: the epoll front end reaps by deadline,
+// tolerates hostile bytes, resumes sessions and carries concurrent load,
+// while idle connections cost state, not workers.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -35,12 +33,18 @@ gsi::Credential make_host(const std::string& cn) {
 }
 
 TEST(ReactorConfig, IoModelStringsRoundTrip) {
-  EXPECT_EQ(server::io_model_from_string("threaded"),
-            server::IoModel::kThreaded);
   EXPECT_EQ(server::io_model_from_string("reactor"),
             server::IoModel::kReactor);
-  EXPECT_EQ(server::to_string(server::IoModel::kThreaded), "threaded");
   EXPECT_EQ(server::to_string(server::IoModel::kReactor), "reactor");
+  // The thread-per-connection front end is gone; asking for it is a
+  // configuration error that names the removal.
+  try {
+    (void)server::io_model_from_string("threaded");
+    ADD_FAILURE() << "io_model=threaded was accepted";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("removed"), std::string::npos)
+        << e.what();
+  }
   EXPECT_THROW((void)server::io_model_from_string("fibers"), ConfigError);
 }
 
@@ -54,7 +58,6 @@ class ReactorTest : public ::testing::Test {
     server::ServerConfig config;
     config.accepted_credentials.add("*");
     config.authorized_retrievers.add("*");
-    config.io_model = server::IoModel::kReactor;
     config.reactor_threads = 2;
     // Few workers on purpose: the tests below park far more connections
     // than this in the handshake/read phases.
@@ -97,8 +100,8 @@ TEST_F(ReactorTest, IdleConnectionsDoNotPinWorkers) {
   // The reactor's reason to exist: with only two workers, sixteen silent
   // connections sit in the event loop's handshake phase while a healthy
   // client is served immediately — no waiting for a deadline to free a
-  // pinned thread (the threaded model would stall here for the full
-  // handshake_timeout).
+  // pinned thread (a thread-per-connection server would stall here for the
+  // full handshake_timeout).
   const auto alice = make_user("re-idle-alice");
   store_alice(alice);
   std::vector<net::Socket> idle;
@@ -232,28 +235,6 @@ TEST_F(ReactorTest, ConcurrentClientsAllSucceed) {
   EXPECT_EQ(successes.load(), kThreads * kOpsPerThread);
   EXPECT_GE(server_->stats().gets.load(),
             static_cast<std::uint64_t>(kThreads * kOpsPerThread));
-}
-
-TEST(ReactorThreaded, ThreadedModelStaysSelectable) {
-  // The original one-thread-per-connection flow remains available behind
-  // io_model=threaded and serves the same protocol.
-  repository::RepositoryPolicy policy;
-  policy.kdf_iterations = 100;
-  auto repo = std::make_shared<repository::Repository>(
-      std::make_unique<repository::MemoryCredentialStore>(), policy);
-  server::ServerConfig config;
-  config.accepted_credentials.add("*");
-  config.authorized_retrievers.add("*");
-  config.io_model = server::IoModel::kThreaded;
-  server::MyProxyServer server(make_host("threaded-myproxy"),
-                               make_trust_store(), repo, config);
-  server.start();
-  const auto alice = make_user("re-threaded-alice");
-  const auto proxy = gsi::create_proxy(alice);
-  MyProxyClient client(proxy, make_trust_store(), server.port());
-  client.put("alice", kPhrase, proxy);
-  EXPECT_EQ(client.get("alice", kPhrase).identity(), alice.identity());
-  server.stop();
 }
 
 }  // namespace

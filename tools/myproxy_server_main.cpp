@@ -17,8 +17,9 @@
 //   request_timeout_ms    <ms>     # per-request idle deadline (0 = off)
 //   max_connections       <n>      # in-flight connection cap (0 = off)
 //   worker_threads        <n>
-//   io_model              threaded|reactor  # connection front end (default reactor)
-//   reactor_threads       <n>      # epoll event loops for io_model=reactor
+//   io_model              reactor  # the only front end; "threaded" was
+//                                  # removed and is refused at startup
+//   reactor_threads       <n>      # epoll event loops of the front end
 //
 // Hot-path tuning (keypair pool / TLS resumption / store cache):
 //   delegation_key_type   rsa|ec   # server-side delegation keys (PUT)
