@@ -1,7 +1,7 @@
-// Pass-phrase key derivation (PBKDF2-HMAC). The repository encrypts every
-// stored credential under a key derived from the user's chosen pass phrase
-// (paper §5.1), so the KDF cost is the attacker's per-guess cost after a
-// repository-host compromise.
+// Pass-phrase key derivation (PBKDF2-HMAC-SHA-256). The repository encrypts
+// every stored credential under a key derived from the user's chosen pass
+// phrase (paper §5.1), so the iteration count is the attacker's per-guess
+// work factor after a repository-host compromise.
 #pragma once
 
 #include <cstdint>
@@ -9,7 +9,6 @@
 #include <string_view>
 
 #include "common/secure_buffer.hpp"
-#include "crypto/digest.hpp"
 
 namespace myproxy::crypto {
 
@@ -17,10 +16,20 @@ namespace myproxy::crypto {
 /// security/latency tradeoff.
 inline constexpr unsigned kDefaultKdfIterations = 10'000;
 
-/// Derive `key_len` bytes from `pass_phrase` with PBKDF2-HMAC-<alg>.
+/// Largest iteration count an envelope may be sealed or opened under. The
+/// same bound applies on both sides so every record that seals can open.
+inline constexpr unsigned kMaxKdfIterations = 100'000'000;
+
+/// True if envelopes may be sealed and opened under `iterations`.
+[[nodiscard]] constexpr bool valid_kdf_iterations(
+    std::int64_t iterations) noexcept {
+  return iterations >= 1 && iterations <= kMaxKdfIterations;
+}
+
+/// Derive `key_len` bytes from `pass_phrase` with PBKDF2-HMAC-SHA-256
+/// (RFC 8018 §5.2). Throws CryptoError on zero iterations or key length.
 [[nodiscard]] SecureBuffer pbkdf2(std::string_view pass_phrase,
                                   std::span<const std::uint8_t> salt,
-                                  unsigned iterations, std::size_t key_len,
-                                  HashAlgorithm alg = HashAlgorithm::kSha256);
+                                  unsigned iterations, std::size_t key_len);
 
 }  // namespace myproxy::crypto

@@ -4,6 +4,7 @@
 
 #include <cstring>
 
+#include "common/format.hpp"
 #include "crypto/kdf.hpp"
 #include "crypto/openssl_util.hpp"
 #include "crypto/random.hpp"
@@ -125,9 +126,13 @@ std::vector<std::uint8_t> passphrase_seal(std::string_view pass_phrase,
                                           std::string_view plaintext,
                                           std::string_view aad,
                                           unsigned iterations) {
+  if (!valid_kdf_iterations(iterations)) {
+    throw CryptoError(fmt::format(
+        "passphrase_seal: iteration count {} outside 1..{}", iterations,
+        kMaxKdfIterations));
+  }
   const auto salt = random_bytes(kEnvelopeSaltSize);
-  const SecureBuffer key =
-      pbkdf2(pass_phrase, salt, iterations, kAesKeySize);
+  const SecureBuffer key = pbkdf2(pass_phrase, salt, iterations, kAesKeySize);
   const auto sealed = aead_seal(key.bytes(), plaintext, aad);
 
   std::vector<std::uint8_t> out(kHeaderSize + kEnvelopeSaltSize +
@@ -151,7 +156,7 @@ SecureBuffer passphrase_open(std::string_view pass_phrase,
     throw ParseError("passphrase_open: envelope truncated");
   }
   const std::uint32_t iterations = read_u32(data.data() + 4);
-  if (iterations == 0 || iterations > 100'000'000) {
+  if (!valid_kdf_iterations(iterations)) {
     throw ParseError("passphrase_open: implausible iteration count");
   }
   const std::span<const std::uint8_t> salt =

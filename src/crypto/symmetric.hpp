@@ -34,12 +34,15 @@ inline constexpr std::size_t kEnvelopeSaltSize = 16;
                                      std::string_view aad);
 
 /// Pass-phrase envelope: PBKDF2(pass_phrase, fresh salt) -> AES-256-GCM.
+/// Throws CryptoError unless valid_kdf_iterations(iterations), so every
+/// envelope it produces is one passphrase_open accepts.
 [[nodiscard]] std::vector<std::uint8_t> passphrase_seal(
     std::string_view pass_phrase, std::string_view plaintext,
     std::string_view aad, unsigned iterations);
 
 /// Opens a passphrase_seal envelope; throws VerificationError if the pass
-/// phrase is wrong (tag mismatch) and ParseError on a malformed envelope.
+/// phrase is wrong (tag mismatch) and ParseError on a malformed envelope,
+/// including one whose iteration count fails valid_kdf_iterations.
 [[nodiscard]] SecureBuffer passphrase_open(std::string_view pass_phrase,
                                            std::span<const std::uint8_t> data,
                                            std::string_view aad);

@@ -37,6 +37,16 @@ CredentialInfo to_info(const CredentialRecord& record) {
 
 }  // namespace
 
+unsigned kdf_iterations_from_config(const Config& config) {
+  const std::int64_t iterations =
+      config.get_int_or("kdf_iterations", crypto::kDefaultKdfIterations);
+  if (!crypto::valid_kdf_iterations(iterations)) {
+    throw ConfigError(fmt::format("kdf_iterations must be in 1..{} (got {})",
+                                  crypto::kMaxKdfIterations, iterations));
+  }
+  return static_cast<unsigned>(iterations);
+}
+
 Repository::Repository(std::unique_ptr<CredentialStore> store,
                        RepositoryPolicy policy)
     : store_(std::move(store)), policy_(std::move(policy)) {
@@ -130,52 +140,49 @@ void Repository::store(std::string_view username,
 gsi::Credential Repository::open(std::string_view username,
                                  std::string_view secret,
                                  std::string_view name, bool otp) {
-  auto record = store_->get(username, name);
-  if (!record.has_value()) {
-    throw NotFoundError(fmt::format(
-        "no credentials stored for user '{}' slot '{}'", username, name));
-  }
-  if (record->expired()) {
+  return open(stored(username, name), secret, otp);
+}
+
+gsi::Credential Repository::open(const CredentialRecord& record,
+                                 std::string_view secret, bool otp) {
+  const std::string_view username = record.username;
+  if (record.expired()) {
     throw ExpiredError(fmt::format(
         "stored credential for user '{}' has expired", username));
   }
-  const std::string aad = aad_for(username, name);
+  const std::string aad = aad_for(username, record.name);
 
   if (otp) {
     // Fetch-verify-advance-store must be atomic: two concurrent requests
     // presenting the same word must yield exactly one success, or replay
     // protection evaporates under load.
     const std::scoped_lock lock(otp_mutex_);
-    record = store_->get(username, name);  // re-read under the lock
-    if (!record.has_value()) {
-      throw NotFoundError(fmt::format(
-          "no credentials stored for user '{}' slot '{}'", username, name));
-    }
-    if (!record->otp.has_value() || record->otp->exhausted()) {
+    auto current = stored(username, record.name);  // re-read under the lock
+    if (!current.otp.has_value() || current.otp->exhausted()) {
       throw AuthenticationError(
           "one-time-password authentication is not armed for this "
           "credential");
     }
-    if (!otp_verify_and_advance(*record->otp, secret)) {
+    if (!otp_verify_and_advance(*current.otp, secret)) {
       log::warn(kLogComponent, "bad one-time password for user '{}'",
                 username);
       throw AuthenticationError("invalid one-time password");
     }
-    store_->put(*record);  // persist the advanced chain before releasing
-    return unseal(*record, aad);
+    store_->put(current);  // persist the advanced chain before releasing
+    return unseal(current, aad);
   }
 
   // OTP-armed records never fall back to pass-phrase authentication, even
   // once the chain is exhausted.
-  if (record->otp.has_value()) {
+  if (record.otp.has_value()) {
     throw AuthenticationError(
         "credential requires one-time-password authentication");
   }
 
-  if (record->sealing == Sealing::kPassphrase) {
+  if (record.sealing == Sealing::kPassphrase) {
     try {
       const SecureBuffer pem =
-          crypto::passphrase_open(secret, record->blob, aad);
+          crypto::passphrase_open(secret, record.blob, aad);
       return gsi::Credential::from_pem(pem.view());
     } catch (const VerificationError&) {
       // Decryption failure == wrong pass phrase (§5.1: the envelope *is*
@@ -186,31 +193,41 @@ gsi::Credential Repository::open(std::string_view username,
   }
 
   // Master-key / plaintext records: check the stored pass-phrase digest.
-  if (!record->passphrase_digest.has_value() ||
-      !strings::constant_time_equals(*record->passphrase_digest,
+  if (!record.passphrase_digest.has_value() ||
+      !strings::constant_time_equals(*record.passphrase_digest,
                                      passphrase_digest_for(aad, secret))) {
     log::warn(kLogComponent, "bad pass phrase for user '{}'", username);
     throw AuthenticationError("invalid pass phrase");
   }
-  return unseal(*record, aad);
+  return unseal(record, aad);
 }
 
 gsi::Credential Repository::open_for_renewal(std::string_view username,
                                              std::string_view name) {
-  auto record = store_->get(username, name);
+  return open_for_renewal(stored(username, name));
+}
+
+gsi::Credential Repository::open_for_renewal(
+    const CredentialRecord& record) const {
+  if (record.expired()) {
+    throw ExpiredError(fmt::format(
+        "stored credential for user '{}' has expired", record.username));
+  }
+  if (record.renewer_patterns.empty()) {
+    throw AuthorizationError(
+        "stored credential was not marked renewable at store time");
+  }
+  return unseal(record, aad_for(record.username, record.name));
+}
+
+CredentialRecord Repository::stored(std::string_view username,
+                                    std::string_view name) const {
+  auto record = this->record(username, name);
   if (!record.has_value()) {
     throw NotFoundError(fmt::format(
         "no credentials stored for user '{}' slot '{}'", username, name));
   }
-  if (record->expired()) {
-    throw ExpiredError(fmt::format(
-        "stored credential for user '{}' has expired", username));
-  }
-  if (record->renewer_patterns.empty()) {
-    throw AuthorizationError(
-        "stored credential was not marked renewable at store time");
-  }
-  return unseal(*record, aad_for(username, name));
+  return std::move(*record);
 }
 
 gsi::Credential Repository::unseal(const CredentialRecord& record,
@@ -280,30 +297,36 @@ void Repository::change_passphrase(std::string_view username,
                                    std::string_view name) {
   policy_.passphrase_policy.check(username, new_phrase);
   // Authenticate with the old phrase by opening, then re-seal.
-  const gsi::Credential credential = open(username, old_phrase, name);
-  auto record = store_->get(username, name);
-  if (!record.has_value()) {
-    throw NotFoundError("credential vanished during pass-phrase change");
-  }
+  CredentialRecord record = stored(username, name);
+  const gsi::Credential credential = open(record, old_phrase);
   const SecureBuffer pem = credential.to_pem();
   const std::string aad = aad_for(username, name);
-  switch (record->sealing) {
+  switch (record.sealing) {
     case Sealing::kPassphrase:
-      record->blob = crypto::passphrase_seal(new_phrase, pem.view(), aad,
-                                             policy_.kdf_iterations);
+      record.blob = crypto::passphrase_seal(new_phrase, pem.view(), aad,
+                                            policy_.kdf_iterations);
       break;
     case Sealing::kMasterKey:
     case Sealing::kPlain:
-      record->passphrase_digest = passphrase_digest_for(aad, new_phrase);
+      record.passphrase_digest = passphrase_digest_for(aad, new_phrase);
       break;
   }
-  store_->put(*record);
+  store_->put(record);
   log::info(kLogComponent, "pass phrase changed for user '{}'", username);
 }
 
 std::optional<CredentialRecord> Repository::record(
     std::string_view username, std::string_view name) const {
-  return store_->get(username, name);
+  auto record = store_->get(username, name);
+  // Envelopes are bound (AAD) to the identity the record names, so a record
+  // read under another key (a file moved on disk) must not reach open().
+  if (record.has_value() &&
+      (record->username != username || record->name != name)) {
+    throw IoError(fmt::format(
+        "record stored as user '{}' slot '{}' names user '{}' slot '{}'",
+        username, name, record->username, record->name));
+  }
+  return record;
 }
 
 }  // namespace myproxy::repository

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/clock.hpp"
+#include "common/config.hpp"
 #include "common/secure_buffer.hpp"
 #include "crypto/kdf.hpp"
 #include "gsi/credential.hpp"
@@ -88,6 +89,11 @@ struct CredentialInfo {
   std::vector<std::string> renewer_patterns;
 };
 
+/// `kdf_iterations` from a server config (kDefaultKdfIterations when
+/// absent). Throws ConfigError unless crypto::valid_kdf_iterations holds, so
+/// a bad count is refused at startup rather than on the first PUT.
+[[nodiscard]] unsigned kdf_iterations_from_config(const Config& config);
+
 class Repository {
  public:
   Repository(std::unique_ptr<CredentialStore> store, RepositoryPolicy policy);
@@ -111,12 +117,24 @@ class Repository {
                                      std::string_view name = {},
                                      bool otp = false);
 
+  /// As above, for a `record` the caller has already read (and checked
+  /// against its ACLs): the record that passed the check is the one that
+  /// gets unsealed, with no second store read. The OTP path still re-reads
+  /// under its lock, since verifying a word advances the stored chain.
+  [[nodiscard]] gsi::Credential open(const CredentialRecord& record,
+                                     std::string_view secret,
+                                     bool otp = false);
+
   /// RENEW path (§6.6): open a *renewable* credential without the user's
   /// pass phrase. The caller (server layer) is responsible for having
   /// authorized the renewer against the record's renewer ACL and identity.
   /// Throws AuthorizationError for records not stored as renewable.
   [[nodiscard]] gsi::Credential open_for_renewal(std::string_view username,
                                                  std::string_view name = {});
+
+  /// As above, for a `record` the caller has already read.
+  [[nodiscard]] gsi::Credential open_for_renewal(
+      const CredentialRecord& record) const;
 
   /// Record metadata without authentication beyond knowing the name
   /// (server layer gates INFO by the retriever ACL).
@@ -166,6 +184,9 @@ class Repository {
                                     std::string_view name) const;
   [[nodiscard]] static std::string passphrase_digest_for(
       std::string_view aad, std::string_view phrase);
+  /// The stored record for (username, name); throws NotFoundError.
+  [[nodiscard]] CredentialRecord stored(std::string_view username,
+                                        std::string_view name) const;
   [[nodiscard]] gsi::Credential unseal(const CredentialRecord& record,
                                        std::string_view aad) const;
 

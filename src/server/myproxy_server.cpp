@@ -814,8 +814,7 @@ void MyProxyServer::handle_get(net::Channel& channel, const Request& request,
     permit = cluster_write_permit(request.username);
   }
   gsi::Credential stored = timed_us(stats_.get_open_us, [&] {
-    return repository_->open(request.username, request.passphrase,
-                             request.credential_name,
+    return repository_->open(*record, request.passphrase,
                              request.auth_mode == protocol::AuthMode::kOtp);
   });
   permit = {};
@@ -852,8 +851,7 @@ void MyProxyServer::handle_renew(net::Channel& channel,
     throw AuthorizationError(fmt::format(
         "'{}' is not an authorized renewer", peer.identity.str()));
   }
-  gsi::Credential stored = repository_->open_for_renewal(
-      request.username, request.credential_name);
+  gsi::Credential stored = repository_->open_for_renewal(*record);
 
   stats_.renewals.fetch_add(1, std::memory_order_relaxed);
   delegate_to_peer(channel, stored, *record, request.lifetime,
@@ -1050,8 +1048,7 @@ void MyProxyServer::handle_retrieve(net::Channel& channel,
     permit = cluster_write_permit(request.username);
   }
   gsi::Credential stored = timed_us(stats_.get_open_us, [&] {
-    return repository_->open(request.username, request.passphrase,
-                             request.credential_name,
+    return repository_->open(*record, request.passphrase,
                              request.auth_mode == protocol::AuthMode::kOtp);
   });
   permit = {};

@@ -24,6 +24,39 @@ Repository make_repository(RepositoryPolicy policy = fast_policy()) {
                     std::move(policy));
 }
 
+/// Forwards to a memory store, counting reads. get() of `alias_user`
+/// answers with alice's record, as if her record file had been moved there.
+class ProbeStore final : public CredentialStore {
+ public:
+  void put(const CredentialRecord& record) override { inner_.put(record); }
+  [[nodiscard]] std::optional<CredentialRecord> get(
+      std::string_view username, std::string_view name) const override {
+    ++gets;
+    return inner_.get(username == alias_user ? "alice" : username, name);
+  }
+  bool remove(std::string_view username, std::string_view name) override {
+    return inner_.remove(username, name);
+  }
+  std::size_t remove_all(std::string_view username) override {
+    return inner_.remove_all(username);
+  }
+  [[nodiscard]] std::vector<CredentialRecord> list(
+      std::string_view username) const override {
+    return inner_.list(username);
+  }
+  [[nodiscard]] std::size_t size() const override { return inner_.size(); }
+  std::size_t sweep_expired() override { return inner_.sweep_expired(); }
+  [[nodiscard]] std::vector<std::string> usernames() const override {
+    return inner_.usernames();
+  }
+
+  mutable int gets = 0;
+  std::string alias_user;
+
+ private:
+  MemoryCredentialStore inner_;
+};
+
 /// A proxy suitable for storing (lifetime within the 7-day repo maximum).
 gsi::Credential make_storable(const gsi::Credential& user,
                               Seconds lifetime = Seconds(24 * 3600)) {
@@ -278,6 +311,89 @@ TEST(Repository, RecordsBoundToUserCannotBeSwapped) {
 
   EXPECT_THROW((void)repo.open("alice", kPhrase), AuthenticationError);
   EXPECT_THROW((void)repo.open("bob", kPhrase), AuthenticationError);
+}
+
+TEST(Repository, OpeningAReadRecordReadsTheStoreOnce) {
+  // GET and RENEW check the record they read against the ACLs, then unseal
+  // that same record: one store read per request.
+  auto store_ptr = std::make_unique<ProbeStore>();
+  ProbeStore* store = store_ptr.get();
+  Repository repo(std::move(store_ptr), fast_policy());
+  const auto alice = make_user("repo-once-alice");
+  repo.store("alice", kPhrase, alice.identity().str(), make_storable(alice));
+  StoreOptions renewable;
+  renewable.name = "job";
+  renewable.renewer_patterns = {"*"};
+  repo.store("alice", kPhrase, alice.identity().str(), make_storable(alice),
+             renewable);
+
+  store->gets = 0;
+  const auto record = repo.record("alice");
+  ASSERT_TRUE(record.has_value());
+  EXPECT_EQ(repo.open(*record, kPhrase).identity(), alice.identity());
+  EXPECT_EQ(store->gets, 1);
+
+  store->gets = 0;
+  const auto job = repo.record("alice", "job");
+  ASSERT_TRUE(job.has_value());
+  EXPECT_EQ(repo.open_for_renewal(*job).identity(), alice.identity());
+  EXPECT_EQ(store->gets, 1);
+}
+
+TEST(Repository, OpeningAReadRecordUnsealsThatRecord) {
+  // The record that passed the caller's checks is the one unsealed, even if
+  // the stored copy has since been re-sealed under another pass phrase.
+  auto repo = make_repository();
+  const auto alice = make_user("repo-same-alice");
+  repo.store("alice", kPhrase, alice.identity().str(), make_storable(alice));
+  const auto record = repo.record("alice");
+  ASSERT_TRUE(record.has_value());
+  repo.change_passphrase("alice", kPhrase, "another long phrase");
+  EXPECT_EQ(repo.open(*record, kPhrase).identity(), alice.identity());
+  EXPECT_THROW((void)repo.open("alice", kPhrase), AuthenticationError);
+}
+
+TEST(Repository, RecordReadUnderAnotherNameIsRefused) {
+  // A record file moved to another user's key names its real owner; it must
+  // not be served (or unsealed under its own AAD) as that user's record.
+  auto store_ptr = std::make_unique<ProbeStore>();
+  ProbeStore* store = store_ptr.get();
+  Repository repo(std::move(store_ptr), fast_policy());
+  const auto alice = make_user("repo-moved-alice");
+  repo.store("alice", kPhrase, alice.identity().str(), make_storable(alice));
+  store->alias_user = "mallory";
+  EXPECT_THROW((void)repo.record("mallory"), IoError);
+  EXPECT_THROW((void)repo.open("mallory", kPhrase), IoError);
+  EXPECT_EQ(repo.open("alice", kPhrase).identity(), alice.identity());
+}
+
+Config kdf_config(std::string_view iterations) {
+  Config config;
+  config.set("kdf_iterations", std::string(iterations));
+  return config;
+}
+
+TEST(KdfIterationsConfig, DefaultsWhenAbsent) {
+  EXPECT_EQ(kdf_iterations_from_config(Config{}),
+            crypto::kDefaultKdfIterations);
+}
+
+TEST(KdfIterationsConfig, AcceptsOneThroughTheBound) {
+  EXPECT_EQ(kdf_iterations_from_config(kdf_config("1")), 1u);
+  EXPECT_EQ(kdf_iterations_from_config(kdf_config("100000000")),
+            crypto::kMaxKdfIterations);
+}
+
+TEST(KdfIterationsConfig, RejectsZeroNegativeAndAboveTheBound) {
+  EXPECT_THROW((void)kdf_iterations_from_config(kdf_config("0")),
+               ConfigError);
+  // -1 used to wrap to 4294967295 and 4294967297 to 1.
+  EXPECT_THROW((void)kdf_iterations_from_config(kdf_config("-1")),
+               ConfigError);
+  EXPECT_THROW((void)kdf_iterations_from_config(kdf_config("100000001")),
+               ConfigError);
+  EXPECT_THROW((void)kdf_iterations_from_config(kdf_config("4294967297")),
+               ConfigError);
 }
 
 }  // namespace

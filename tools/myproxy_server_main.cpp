@@ -11,7 +11,7 @@
 //   max_proxy_lifetime    <seconds>
 //   default_proxy_lifetime <seconds>
 //   max_cred_lifetime     <seconds>
-//   kdf_iterations        <n>
+//   kdf_iterations        <n>      # PBKDF2 work factor, 1..100000000
 //   passphrase_min_length <n>
 //   handshake_timeout_ms  <ms>     # TLS handshake deadline (0 = off)
 //   request_timeout_ms    <ms>     # per-request idle deadline (0 = off)
@@ -105,8 +105,7 @@ void serve(const tools::Args& args) {
       Seconds(config.get_int_or("max_proxy_lifetime", 24 * 3600));
   policy.default_delegation_lifetime = Seconds(config.get_int_or(
       "default_proxy_lifetime", kDefaultDelegatedLifetime.count()));
-  policy.kdf_iterations = static_cast<unsigned>(
-      config.get_int_or("kdf_iterations", crypto::kDefaultKdfIterations));
+  policy.kdf_iterations = repository::kdf_iterations_from_config(config);
   policy.passphrase_policy.set_min_length(static_cast<std::size_t>(
       config.get_int_or("passphrase_min_length", 6)));
 
