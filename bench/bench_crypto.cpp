@@ -8,13 +8,23 @@
 // Series reported:
 //   BM_Crypto_KeyGen/<type>     — RSA-512/1024/2048/3072 + EC-P256 keygen
 //   BM_Crypto_Sign, _Verify     — SHA-256 signatures per key type
-//   BM_Crypto_ProxySign         — full proxy-certificate issuance
+//   BM_Crypto_ProxySign         — proxy issuance for a verified CSR
 //   BM_Crypto_ChainVerify/<d>   — chain verification vs delegation depth
+//
+// Key and certificate codecs, at 1 and 4 threads (items/s is the sum over
+// threads). OpenSSL 3 builds its decoder and encoder contexts under a
+// process-wide lock, so a path that builds one per call stays flat as
+// threads are added; a path that reuses one, or copies bytes, scales:
+//   BM_Crypto_KeyImport         — stored private key PEM -> KeyPair
+//   BM_Crypto_CsrCreate         — delegation CSR for a fresh EC key
+//   BM_Crypto_CertParse         — certificate PEM -> Certificate (this one
+//                                 still decodes the subject key per call)
 #include "bench_util.hpp"
 #include "crypto/kdf.hpp"
 #include "crypto/random.hpp"
 #include "crypto/symmetric.hpp"
 #include "pki/certificate_builder.hpp"
+#include "pki/certificate_request.hpp"
 
 namespace {
 
@@ -74,24 +84,94 @@ BENCHMARK(BM_Crypto_Verify)
     ->Arg(2048)
     ->Unit(benchmark::kMicrosecond);
 
-void BM_Crypto_ProxySign(benchmark::State& state) {
-  // Issue one proxy certificate (no key generation — that is measured
-  // separately): what the repository pays per delegation.
-  quiet_logs();
+/// Shared fixtures for the threaded codec benchmarks (built once).
+struct CodecFixture {
   VirtualOrganization vo;
-  const gsi::Credential user = vo.user("crypto-user");
-  const auto proxy_key = crypto::KeyPair::generate(crypto::KeySpec::ec());
+  gsi::Credential user = vo.user("crypto-user");
+  crypto::KeyPair proxy_key = crypto::KeyPair::generate(crypto::KeySpec::ec());
+  pki::CertificateRequest csr = pki::CertificateRequest::from_pem(
+      pki::CertificateRequest::create(
+          pki::DistinguishedName::parse("/CN=delegation request"), proxy_key)
+          .to_pem());
+  std::string key_pem = proxy_key.private_pem().str();
+  std::string cert_pem = user.certificate().to_pem();
+
+  static const CodecFixture& get() {
+    static const CodecFixture fixture = [] {
+      quiet_logs();
+      return CodecFixture();
+    }();
+    return fixture;
+  }
+};
+
+void BM_Crypto_ProxySign(benchmark::State& state) {
+  // Issue one proxy certificate for an already verified CSR, as
+  // delegate_credential does: the CSR's SubjectPublicKeyInfo is copied as
+  // bytes and the certificate goes out as PEM. No key generation and no CSR
+  // parse (that is a certificate-class decode, see CertParse).
+  const auto& f = CodecFixture::get();
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         pki::CertificateBuilder()
-            .subject(user.subject().with_cn(pki::kProxyCn))
-            .issuer(user.subject())
-            .public_key(proxy_key)
+            .subject(f.user.subject().with_cn(pki::kProxyCn))
+            .issuer(f.user.subject())
+            .public_key_of(f.csr)
             .lifetime(Seconds(3600))
-            .sign(user.key()));
+            .sign_pem(f.user.key()));
   }
+  state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_Crypto_ProxySign)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_Crypto_ProxySign)
+    ->Threads(1)
+    ->Threads(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_Crypto_KeyImport(benchmark::State& state) {
+  // Unseal's key step: unencrypted PKCS#8 EC key PEM -> KeyPair.
+  const auto& f = CodecFixture::get();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::KeyPair::from_private_pem(f.key_pem));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_Crypto_KeyImport)
+    ->Threads(1)
+    ->Threads(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_Crypto_CsrCreate(benchmark::State& state) {
+  // begin_delegation without key generation: build and sign the CSR.
+  const auto& f = CodecFixture::get();
+  const auto dn = pki::DistinguishedName::parse("/CN=delegation request");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        pki::CertificateRequest::create(dn, f.proxy_key).to_pem());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_Crypto_CsrCreate)
+    ->Threads(1)
+    ->Threads(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_Crypto_CertParse(benchmark::State& state) {
+  // Measured, not optimized: d2i_X509 decodes the subject key through a
+  // fresh decoder context on every call.
+  const auto& f = CodecFixture::get();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pki::Certificate::from_pem(f.cert_pem));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_Crypto_CertParse)
+    ->Threads(1)
+    ->Threads(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_Crypto_ChainVerify(benchmark::State& state) {
   // Verification cost vs delegation depth — see bench_delegation_chain for

@@ -1,11 +1,16 @@
 #include "crypto/key_pair.hpp"
 
+#include <openssl/decoder.h>
 #include <openssl/ec.h>
 #include <openssl/evp.h>
 #include <openssl/pem.h>
+#include <openssl/pkcs12.h>
 #include <openssl/rsa.h>
+#include <openssl/x509.h>
 
+#include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "crypto/openssl_util.hpp"
 
@@ -21,6 +26,115 @@ EVP_PKEY* require(const std::shared_ptr<EVP_PKEY>& pkey) {
 std::shared_ptr<EVP_PKEY> wrap(EVP_PKEY* pkey) {
   return std::shared_ptr<EVP_PKEY>(pkey,
                                    [](EVP_PKEY* p) { EVP_PKEY_free(p); });
+}
+
+// OpenSSL's pem_password_cb; `u` carries the pass phrase string_view.
+int pass_phrase_cb(char* buf, int size, int /*rwflag*/, void* u) {
+  const auto* pass = static_cast<const std::string_view*>(u);
+  if (pass == nullptr || pass->empty()) return -1;
+  const int n = std::min(size, static_cast<int>(pass->size()));
+  std::memcpy(buf, pass->data(), static_cast<std::size_t>(n));
+  return n;
+}
+
+struct X509SigDeleter {
+  void operator()(X509_SIG* p) const noexcept { X509_SIG_free(p); }
+};
+struct Pkcs8Deleter {
+  void operator()(PKCS8_PRIV_KEY_INFO* p) const noexcept {
+    PKCS8_PRIV_KEY_INFO_free(p);
+  }
+};
+using X509SigPtr = std::unique_ptr<X509_SIG, X509SigDeleter>;
+using Pkcs8Ptr = std::unique_ptr<PKCS8_PRIV_KEY_INFO, Pkcs8Deleter>;
+
+/// One PEM block as PEM_read_bio returns it. The DER body may hold private
+/// key material, so it is wiped when freed.
+struct PemBlock {
+  char* name = nullptr;
+  char* header = nullptr;
+  unsigned char* der = nullptr;
+  long len = 0;  // NOLINT(google-runtime-int) OpenSSL API type
+
+  PemBlock() = default;
+  PemBlock(const PemBlock&) = delete;
+  PemBlock& operator=(const PemBlock&) = delete;
+  ~PemBlock() { clear(); }
+
+  void clear() noexcept {
+    OPENSSL_free(name);
+    OPENSSL_free(header);
+    OPENSSL_clear_free(der, static_cast<std::size_t>(len));
+    name = header = nullptr;
+    der = nullptr;
+    len = 0;
+  }
+
+  /// Take ownership of `body` (allocated by OpenSSL) as the new DER.
+  void replace_der(unsigned char* body, int body_len) {
+    OPENSSL_clear_free(der, static_cast<std::size_t>(len));
+    der = body;
+    len = body_len;
+  }
+};
+
+/// "PRIVATE KEY", "ENCRYPTED PRIVATE KEY" and the traditional
+/// "<TYPE> PRIVATE KEY" names; never "ANY PRIVATE KEY" or a certificate.
+bool is_private_key_block(const char* name) {
+  constexpr std::string_view kSuffix = "PRIVATE KEY";
+  const std::string_view n(name);
+  return n.ends_with(kSuffix) && n != "ANY PRIVATE KEY";
+}
+
+/// The calling thread's private-key decoder. OpenSSL 3 builds a decoder
+/// context by searching every provider under a process-wide lock (~1 ms);
+/// decoding with a built one costs tens of microseconds. The context writes
+/// its result into `pkey`, which decode_private_der() takes and nulls, so no
+/// key outlives the call that decoded it.
+struct PrivateKeyDecoder {
+  OSSL_DECODER_CTX* ctx = nullptr;
+  EVP_PKEY* pkey = nullptr;
+
+  PrivateKeyDecoder() = default;
+  PrivateKeyDecoder(const PrivateKeyDecoder&) = delete;
+  PrivateKeyDecoder& operator=(const PrivateKeyDecoder&) = delete;
+  ~PrivateKeyDecoder() { reset(); }
+
+  void reset() noexcept {
+    OSSL_DECODER_CTX_free(ctx);
+    ctx = nullptr;
+    EVP_PKEY_free(pkey);
+    pkey = nullptr;
+  }
+
+  OSSL_DECODER_CTX* get() {
+    if (ctx == nullptr) {
+      // "DER" input, any structure (PKCS#8 or traditional), any key type.
+      ctx = OSSL_DECODER_CTX_new_for_pkey(&pkey, "DER", nullptr, nullptr,
+                                          EVP_PKEY_KEYPAIR, nullptr, nullptr);
+      check_ptr(ctx, "OSSL_DECODER_CTX_new_for_pkey");
+    }
+    return ctx;
+  }
+};
+
+thread_local PrivateKeyDecoder t_decoder;
+
+/// Decode an unencrypted private key (PKCS#8 or traditional DER).
+EVP_PKEY* decode_private_der(const unsigned char* der,
+                             long len) {  // NOLINT(google-runtime-int)
+  OSSL_DECODER_CTX* ctx = t_decoder.get();
+  const unsigned char* p = der;
+  auto remaining = static_cast<std::size_t>(len);
+  const int ok = OSSL_DECODER_from_data(ctx, &p, &remaining);
+  EVP_PKEY* pkey = std::exchange(t_decoder.pkey, nullptr);
+  if (ok != 1 || pkey == nullptr) {
+    EVP_PKEY_free(pkey);
+    // A failed decode may leave the context mid-chain; start clean.
+    t_decoder.reset();
+    throw_openssl("private key decode");
+  }
+  return pkey;
 }
 
 }  // namespace
@@ -60,19 +174,45 @@ KeyPair KeyPair::generate(const KeySpec& spec) {
 KeyPair KeyPair::from_private_pem(std::string_view pem,
                                   std::string_view pass_phrase) {
   BioPtr bio = memory_bio(pem);
-  // OpenSSL's pem_password_cb; `u` carries the pass phrase string_view.
-  auto cb = [](char* buf, int size, int /*rwflag*/, void* u) -> int {
-    const auto* pass = static_cast<const std::string_view*>(u);
-    if (pass == nullptr || pass->empty()) return -1;
-    const int n = std::min(size, static_cast<int>(pass->size()));
-    std::memcpy(buf, pass->data(), static_cast<std::size_t>(n));
-    return n;
-  };
-  EVP_PKEY* raw = PEM_read_bio_PrivateKey(bio.get(), nullptr, cb,
-                                          const_cast<void*>(static_cast<const void*>(&pass_phrase)));
-  if (raw == nullptr) throw_openssl("PEM_read_bio_PrivateKey");
+  PemBlock block;
+  // Skip certificate blocks: a credential file holds its key between them.
+  while (true) {
+    if (PEM_read_bio(bio.get(), &block.name, &block.header, &block.der,
+                     &block.len) != 1) {
+      throw_openssl("no private key block in PEM input");
+    }
+    if (is_private_key_block(block.name)) break;
+    block.clear();
+  }
+
+  EVP_CIPHER_INFO cipher{};
+  check(PEM_get_EVP_CIPHER_INFO(block.header, &cipher),
+        "PEM_get_EVP_CIPHER_INFO");
+  // A legacy Proc-Type block is decrypted in place; others pass through.
+  check(PEM_do_header(&cipher, block.der, &block.len, pass_phrase_cb,
+                      const_cast<void*>(
+                          static_cast<const void*>(&pass_phrase))),
+        "PEM_do_header");
+
+  if (std::strcmp(block.name, PEM_STRING_PKCS8) == 0) {
+    if (pass_phrase.empty()) {
+      throw CryptoError("encrypted private key requires a pass phrase");
+    }
+    const unsigned char* p = block.der;
+    X509SigPtr sealed(
+        check_ptr(d2i_X509_SIG(nullptr, &p, block.len), "d2i_X509_SIG"));
+    Pkcs8Ptr info(check_ptr(
+        PKCS8_decrypt(sealed.get(), pass_phrase.data(),
+                      static_cast<int>(pass_phrase.size())),
+        "PKCS8_decrypt"));
+    unsigned char* plain = nullptr;
+    const int plain_len = i2d_PKCS8_PRIV_KEY_INFO(info.get(), &plain);
+    if (plain_len <= 0) throw_openssl("i2d_PKCS8_PRIV_KEY_INFO");
+    block.replace_der(plain, plain_len);
+  }
+
   KeyPair out;
-  out.pkey_ = wrap(raw);
+  out.pkey_ = wrap(decode_private_der(block.der, block.len));
   out.has_private_ = true;
   return out;
 }

@@ -21,9 +21,9 @@ const pki::DistinguishedName& delegation_placeholder_dn() {
   return dn;
 }
 
-pki::Certificate sign_proxy_certificate(const Credential& issuer,
-                                        const crypto::KeyPair& public_key,
-                                        const ProxyOptions& options) {
+/// A builder for a proxy of `issuer`, complete but for the subject key.
+pki::CertificateBuilder proxy_builder(const Credential& issuer,
+                                      const ProxyOptions& options) {
   if (options.lifetime <= Seconds(0)) {
     throw PolicyError("proxy lifetime must be positive");
   }
@@ -45,13 +45,12 @@ pki::Certificate sign_proxy_certificate(const Credential& issuer,
   pki::CertificateBuilder builder;
   builder.subject(issuer.subject().with_cn(cn))
       .issuer(issuer.subject())
-      .public_key(public_key)
       .validity(not_before, not_after)
       .ca(false);
   if (options.restriction.has_value()) {
     builder.restriction(*options.restriction);
   }
-  return builder.sign(issuer.key());
+  return builder;
 }
 
 }  // namespace
@@ -59,8 +58,9 @@ pki::Certificate sign_proxy_certificate(const Credential& issuer,
 Credential create_proxy(const Credential& issuer,
                         const ProxyOptions& options) {
   crypto::KeyPair proxy_key = crypto::KeyPair::generate(options.key_spec);
-  pki::Certificate proxy_cert =
-      sign_proxy_certificate(issuer, proxy_key, options);
+  pki::Certificate proxy_cert = proxy_builder(issuer, options)
+                                    .public_key(proxy_key)
+                                    .sign(issuer.key());
 
   std::vector<pki::Certificate> chain;
   chain.reserve(issuer.chain().size() + 1);
@@ -100,10 +100,11 @@ std::string delegate_credential(const Credential& issuer,
     throw VerificationError(
         "delegation CSR proof-of-possession signature is invalid");
   }
-  const pki::Certificate proxy_cert =
-      sign_proxy_certificate(issuer, csr.public_key(), options);
-
-  std::string out = proxy_cert.to_pem();
+  // The proof of possession passed, so the new certificate carries the
+  // CSR's SubjectPublicKeyInfo bytes as they arrived.
+  std::string out = proxy_builder(issuer, options)
+                        .public_key_of(csr)
+                        .sign_pem(issuer.key());
   out += issuer.certificate_chain_pem();
   return out;
 }

@@ -2,6 +2,7 @@
 
 #include <openssl/asn1.h>
 #include <openssl/bn.h>
+#include <openssl/err.h>
 #include <openssl/evp.h>
 #include <openssl/pem.h>
 #include <openssl/x509.h>
@@ -12,6 +13,7 @@
 
 #include "common/encoding.hpp"
 #include "common/error.hpp"
+#include "common/format.hpp"
 #include "crypto/digest.hpp"
 #include "crypto/openssl_util.hpp"
 #include "pki/proxy_policy.hpp"
@@ -75,10 +77,21 @@ Certificate Certificate::from_pem(std::string_view pem) {
 std::vector<Certificate> Certificate::chain_from_pem(std::string_view pem) {
   crypto::BioPtr bio = crypto::memory_bio(pem);
   std::vector<Certificate> chain;
+  ERR_clear_error();
   while (true) {
     X509* x = PEM_read_bio_X509(bio.get(), nullptr, nullptr, nullptr);
     if (x == nullptr) {
-      (void)crypto::drain_error_queue();
+      // Only "no further BEGIN line" ends the chain cleanly; a corrupt or
+      // truncated block must not silently shorten it.
+      const auto last = ERR_peek_last_error();
+      const bool clean_end = ERR_GET_LIB(last) == ERR_LIB_PEM &&
+                             ERR_GET_REASON(last) == PEM_R_NO_START_LINE;
+      const std::string detail = crypto::drain_error_queue();
+      if (!clean_end) {
+        throw ParseError(fmt::format(
+            "unreadable certificate block after {} certificate(s): {}",
+            chain.size(), detail));
+      }
       break;
     }
     Certificate cert;

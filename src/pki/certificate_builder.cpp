@@ -2,7 +2,10 @@
 
 #include <openssl/asn1.h>
 #include <openssl/bn.h>
+#include <openssl/crypto.h>
 #include <openssl/evp.h>
+#include <openssl/objects.h>
+#include <openssl/pem.h>
 #include <openssl/x509.h>
 #include <openssl/x509v3.h>
 
@@ -64,6 +67,55 @@ void add_policy_extension(X509* x, const RestrictionPolicy& policy) {
   crypto::check(rc, "X509_add_ext(proxy policy)");
 }
 
+/// Copy the algorithm, its parameters and the key bits of `from` into `to`.
+/// Neither key is decoded or encoded.
+void copy_public_key_info(X509_PUBKEY* to, const X509_PUBKEY* from) {
+  ASN1_OBJECT* algorithm = nullptr;
+  const unsigned char* bits = nullptr;
+  int bits_len = 0;
+  X509_ALGOR* algor = nullptr;
+  crypto::check(
+      X509_PUBKEY_get0_param(&algorithm, &bits, &bits_len, &algor, from),
+      "X509_PUBKEY_get0_param");
+  const ASN1_OBJECT* ignored = nullptr;
+  int param_type = V_ASN1_UNDEF;
+  const void* param = nullptr;
+  X509_ALGOR_get0(&ignored, &param_type, &param, algor);
+
+  void* param_copy = nullptr;
+  switch (param_type) {
+    case V_ASN1_UNDEF:  // e.g. Ed25519: parameters absent
+    case V_ASN1_NULL:   // RSA
+      break;
+    case V_ASN1_OBJECT:  // EC named curve
+      param_copy = OBJ_dup(static_cast<const ASN1_OBJECT*>(param));
+      break;
+    case V_ASN1_SEQUENCE:  // explicit curve or RSA-PSS parameters
+      param_copy = ASN1_STRING_dup(static_cast<const ASN1_STRING*>(param));
+      break;
+    default:
+      throw CryptoError("unsupported SubjectPublicKeyInfo parameter type");
+  }
+  ASN1_OBJECT* algorithm_copy = OBJ_dup(algorithm);
+  auto* bits_copy = static_cast<unsigned char*>(
+      OPENSSL_memdup(bits, static_cast<std::size_t>(bits_len)));
+  const bool copied = algorithm_copy != nullptr && bits_copy != nullptr &&
+                      (param == nullptr || param_copy != nullptr);
+  // X509_PUBKEY_set0_param takes ownership of the copies only on success.
+  if (!copied || X509_PUBKEY_set0_param(to, algorithm_copy, param_type,
+                                        param_copy, bits_copy,
+                                        bits_len) != 1) {
+    ASN1_OBJECT_free(algorithm_copy);
+    if (param_type == V_ASN1_OBJECT) {
+      ASN1_OBJECT_free(static_cast<ASN1_OBJECT*>(param_copy));
+    } else {
+      ASN1_STRING_free(static_cast<ASN1_STRING*>(param_copy));
+    }
+    OPENSSL_free(bits_copy);
+    crypto::throw_openssl("copy SubjectPublicKeyInfo");
+  }
+}
+
 }  // namespace
 
 CertificateBuilder::CertificateBuilder() {
@@ -85,6 +137,14 @@ CertificateBuilder& CertificateBuilder::issuer(DistinguishedName dn) {
 CertificateBuilder& CertificateBuilder::public_key(
     const crypto::KeyPair& key) {
   public_key_ = key;
+  public_key_csr_ = CertificateRequest();
+  return *this;
+}
+
+CertificateBuilder& CertificateBuilder::public_key_of(
+    const CertificateRequest& csr) {
+  public_key_csr_ = csr;
+  public_key_ = crypto::KeyPair();
   return *this;
 }
 
@@ -124,11 +184,32 @@ CertificateBuilder& CertificateBuilder::restriction(RestrictionPolicy policy) {
 }
 
 Certificate CertificateBuilder::sign(const crypto::KeyPair& issuer_key) const {
+  if (public_key_csr_.valid()) {
+    throw Error(ErrorCode::kInternal,
+                "CertificateBuilder: a key copied from a CSR is issued only "
+                "as PEM");
+  }
+  crypto::X509Ptr x(crypto::check_ptr(X509_new(), "X509_new"));
+  sign_into(x.get(), issuer_key);
+  return Certificate::adopt(x.release());
+}
+
+std::string CertificateBuilder::sign_pem(
+    const crypto::KeyPair& issuer_key) const {
+  crypto::X509Ptr x(crypto::check_ptr(X509_new(), "X509_new"));
+  sign_into(x.get(), issuer_key);
+  crypto::BioPtr bio = crypto::memory_bio();
+  crypto::check(PEM_write_bio_X509(bio.get(), x.get()), "PEM_write_bio_X509");
+  return crypto::bio_to_string(bio.get());
+}
+
+void CertificateBuilder::sign_into(X509* x,
+                                   const crypto::KeyPair& issuer_key) const {
   if (!subject_.has_value() || !issuer_.has_value()) {
     throw Error(ErrorCode::kInternal,
                 "CertificateBuilder: subject and issuer are required");
   }
-  if (!public_key_.valid()) {
+  if (!public_key_.valid() && !public_key_csr_.valid()) {
     throw Error(ErrorCode::kInternal,
                 "CertificateBuilder: public key is required");
   }
@@ -136,37 +217,40 @@ Certificate CertificateBuilder::sign(const crypto::KeyPair& issuer_key) const {
     throw CryptoError("CertificateBuilder: issuer key lacks a private half");
   }
 
-  crypto::X509Ptr x(crypto::check_ptr(X509_new(), "X509_new"));
-  crypto::check(X509_set_version(x.get(), 2), "X509_set_version");  // v3
+  crypto::check(X509_set_version(x, 2), "X509_set_version");  // v3
 
-  set_serial(x.get(),
+  set_serial(x,
              serial_hex_.has_value() ? *serial_hex_ : crypto::random_hex(8));
 
   X509_NAME* subject_name = subject_->to_x509_name();
-  int rc = X509_set_subject_name(x.get(), subject_name);
+  int rc = X509_set_subject_name(x, subject_name);
   X509_NAME_free(subject_name);
   crypto::check(rc, "X509_set_subject_name");
 
   X509_NAME* issuer_name = issuer_->to_x509_name();
-  rc = X509_set_issuer_name(x.get(), issuer_name);
+  rc = X509_set_issuer_name(x, issuer_name);
   X509_NAME_free(issuer_name);
   crypto::check(rc, "X509_set_issuer_name");
 
-  set_asn1_time(X509_getm_notBefore(x.get()), not_before_);
-  set_asn1_time(X509_getm_notAfter(x.get()), not_after_);
+  set_asn1_time(X509_getm_notBefore(x), not_before_);
+  set_asn1_time(X509_getm_notAfter(x), not_after_);
 
-  crypto::check(X509_set_pubkey(x.get(), public_key_.native()),
-                "X509_set_pubkey");
-
-  add_basic_constraints(x.get(), is_ca_);
-  if (restriction_.has_value()) {
-    add_policy_extension(x.get(), *restriction_);
+  if (public_key_csr_.valid()) {
+    copy_public_key_info(X509_get_X509_PUBKEY(x),
+                         X509_REQ_get_X509_PUBKEY(public_key_csr_.native()));
+  } else {
+    crypto::check(X509_set_pubkey(x, public_key_.native()),
+                  "X509_set_pubkey");
   }
 
-  if (X509_sign(x.get(), issuer_key.native(), EVP_sha256()) <= 0) {
+  add_basic_constraints(x, is_ca_);
+  if (restriction_.has_value()) {
+    add_policy_extension(x, *restriction_);
+  }
+
+  if (X509_sign(x, issuer_key.native(), EVP_sha256()) <= 0) {
     crypto::throw_openssl("X509_sign");
   }
-  return Certificate::adopt(x.release());
 }
 
 }  // namespace myproxy::pki

@@ -20,6 +20,9 @@ class CertificateRequest {
   CertificateRequest() = default;
 
   /// Build a CSR for `subject`, self-signed with `key` (proof of possession).
+  /// An EC key's SubjectPublicKeyInfo is written from its encoded point
+  /// without an encoder round trip; the request keeps `key` so that
+  /// public_key() and verify() work without decoding it back.
   static CertificateRequest create(const DistinguishedName& subject,
                                    const crypto::KeyPair& key);
 
@@ -29,7 +32,7 @@ class CertificateRequest {
 
   [[nodiscard]] DistinguishedName subject() const;
 
-  /// Public key the requester proved possession of.
+  /// Public key the requester proved possession of (public half only).
   [[nodiscard]] crypto::KeyPair public_key() const;
 
   /// Verify the CSR's self-signature (proof of possession of the key).
@@ -40,7 +43,13 @@ class CertificateRequest {
   [[nodiscard]] X509_REQ* native() const noexcept { return req_.get(); }
 
  private:
+  /// The requester's public key, borrowed from key_ or the parsed request.
+  [[nodiscard]] EVP_PKEY* key() const;
+
   std::shared_ptr<X509_REQ> req_;
+  /// Set by create(): the requester's own key. A parsed request has none
+  /// and uses the key OpenSSL decoded from its SubjectPublicKeyInfo.
+  crypto::KeyPair key_;
 };
 
 }  // namespace myproxy::pki

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "common/mutation.hpp"
 #include "gsi/gsi_fixtures.hpp"
+#include "pki/pki_fixtures.hpp"
 #include "pki/trust_store.hpp"
 
 namespace myproxy::gsi {
@@ -197,6 +199,103 @@ TEST(Delegation, DelegatedLifetimeClamped) {
       std::move(request.key),
       delegate_credential(alice, request.csr_pem, opts));
   EXPECT_LE(got.certificate().not_after(), alice.certificate().not_after());
+}
+
+// --- The issued proxy carries the CSR's SubjectPublicKeyInfo bytes -----------
+
+struct SpkiCase {
+  const char* name;
+  crypto::KeySpec spec;
+  bool limited;
+  bool restricted;
+};
+
+TEST(Delegation, ProxySpkiEqualsCsrSpki) {
+  const auto alice = make_user("dg-spki-alice");
+  const auto store = make_trust_store();
+  const SpkiCase cases[] = {
+      {"ec full", crypto::KeySpec::ec(), false, false},
+      {"ec limited", crypto::KeySpec::ec(), true, false},
+      {"ec restricted", crypto::KeySpec::ec(), false, true},
+      {"rsa full", crypto::KeySpec::rsa(1024), false, false},
+      {"rsa limited", crypto::KeySpec::rsa(1024), true, false},
+      {"rsa restricted", crypto::KeySpec::rsa(1024), false, true},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    DelegationRequest request = begin_delegation(c.spec);
+    ProxyOptions opts;
+    opts.limited = c.limited;
+    if (c.restricted) {
+      opts.restriction = pki::RestrictionPolicy::parse("rights=job-submit");
+    }
+    const std::string chain_pem =
+        delegate_credential(alice, request.csr_pem, opts);
+    const auto leaf = pki::Certificate::chain_from_pem(chain_pem).front();
+    const auto csr = pki::CertificateRequest::from_pem(request.csr_pem);
+    EXPECT_EQ(pki::testing::spki_der(leaf), pki::testing::spki_der(csr));
+    EXPECT_EQ(pki::testing::spki_der(leaf),
+              pki::testing::encoded_public_key(request.key));
+
+    const Credential got =
+        complete_delegation(std::move(request.key), chain_pem);
+    const auto id = store.verify(got.full_chain());
+    EXPECT_EQ(id.identity, alice.identity());
+    EXPECT_EQ(id.limited, c.limited);
+    EXPECT_EQ(id.policy.has_value(), c.restricted);
+  }
+}
+
+// --- Hostile CSRs ---------------------------------------------------------------
+
+TEST(Delegation, MutatedCsrEitherSignsOrThrowsTypedError) {
+  // Half the cases mutate the CSR's DER under intact PEM armour (reaching
+  // the ASN.1 and signature checks), half mutate the PEM text itself.
+  const auto alice = make_user("dg-hostile-alice");
+  const std::string ec_pem = begin_delegation().csr_pem;
+  const std::string rsa_pem =
+      begin_delegation(crypto::KeySpec::rsa(1024)).csr_pem;
+  const auto ec_der = mutation::pem_body(ec_pem);
+  const auto rsa_der = mutation::pem_body(rsa_pem);
+  const auto ec_text = encoding::to_bytes(ec_pem);
+  const auto rsa_text = encoding::to_bytes(rsa_pem);
+  int signed_count = 0;
+  int refused = 0;
+  for (std::uint32_t i = 0; i < 1000; ++i) {
+    const bool ec = (i % 4) < 2;
+    const bool der = (i % 2) == 0;
+    std::string csr_pem;
+    if (der) {
+      csr_pem = mutation::pem_wrap(
+          "CERTIFICATE REQUEST",
+          mutation::mutate(ec ? ec_der : rsa_der, ec ? rsa_der : ec_der, i));
+    } else {
+      csr_pem = encoding::to_string(mutation::mutate(
+          ec ? ec_text : rsa_text, ec ? rsa_text : ec_text, i));
+    }
+    try {
+      const std::string chain_pem = delegate_credential(alice, csr_pem);
+      // Whatever was signed carries exactly the SPKI the CSR proved.
+      const auto leaf = pki::Certificate::chain_from_pem(chain_pem).front();
+      EXPECT_EQ(pki::testing::spki_der(leaf),
+                pki::testing::spki_der(
+                    pki::CertificateRequest::from_pem(csr_pem)))
+          << "case " << i;
+      EXPECT_TRUE(leaf.signed_by(alice.certificate())) << "case " << i;
+      ++signed_count;
+    } catch (const Error&) {
+      ++refused;
+    }
+    // A valid delegation on the same thread must still work.
+    if (i % 50 == 0) {
+      DelegationRequest request = begin_delegation();
+      ASSERT_NO_THROW((void)complete_delegation(
+          std::move(request.key), delegate_credential(alice, request.csr_pem)))
+          << "valid delegation failed after case " << i;
+    }
+  }
+  EXPECT_EQ(signed_count + refused, 1000);
+  EXPECT_GT(refused, 500);
 }
 
 }  // namespace

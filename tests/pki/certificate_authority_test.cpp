@@ -9,7 +9,9 @@
 namespace myproxy::pki {
 namespace {
 
+using testing::encoded_public_key;
 using testing::make_identity;
+using testing::spki_der;
 using testing::test_ca;
 
 TEST(CertificateRequest, CreateParseVerify) {
@@ -31,6 +33,42 @@ TEST(CertificateRequest, RequiresPrivateKey) {
   EXPECT_THROW((void)CertificateRequest::create(
                    DistinguishedName::parse("/CN=x"), pub),
                CryptoError);
+}
+
+TEST(CertificateRequest, EcSpkiEqualsEncoderOutput) {
+  // create() writes an EC key's SubjectPublicKeyInfo from the encoded point;
+  // the bytes must be exactly what OpenSSL's own encoder produces.
+  for (int i = 0; i < 8; ++i) {
+    const auto key = crypto::KeyPair::generate(crypto::KeySpec::ec());
+    const auto csr =
+        CertificateRequest::create(DistinguishedName::parse("/CN=spki"), key);
+    const auto expected = encoded_public_key(key);
+    ASSERT_FALSE(expected.empty());
+    EXPECT_EQ(spki_der(csr), expected);
+    const auto back = CertificateRequest::from_pem(csr.to_pem());
+    EXPECT_EQ(spki_der(back), expected);
+    EXPECT_TRUE(back.verify());
+    EXPECT_TRUE(back.public_key().same_public_key(key));
+  }
+}
+
+TEST(CertificateRequest, RsaSpkiEqualsEncoderOutput) {
+  const auto key = crypto::KeyPair::generate(crypto::KeySpec::rsa(1024));
+  const auto csr =
+      CertificateRequest::create(DistinguishedName::parse("/CN=rsa"), key);
+  EXPECT_EQ(spki_der(csr), encoded_public_key(key));
+  EXPECT_TRUE(csr.verify());
+  EXPECT_TRUE(CertificateRequest::from_pem(csr.to_pem()).verify());
+}
+
+TEST(CertificateRequest, PublicKeyCarriesNoPrivateHalf) {
+  const auto key = crypto::KeyPair::generate(crypto::KeySpec::ec());
+  const auto csr =
+      CertificateRequest::create(DistinguishedName::parse("/CN=pub"), key);
+  const auto pub = csr.public_key();
+  EXPECT_TRUE(pub.same_public_key(key));
+  EXPECT_FALSE(pub.has_private());
+  EXPECT_THROW((void)pub.private_pem(), CryptoError);
 }
 
 TEST(CertificateRequest, FromPemRejectsGarbage) {

@@ -9,8 +9,10 @@
 namespace myproxy::pki {
 namespace {
 
+using testing::encoded_public_key;
 using testing::make_identity;
 using testing::make_proxy_cert;
+using testing::spki_der;
 using testing::test_ca;
 
 TEST(Certificate, PemRoundTrip) {
@@ -147,6 +149,107 @@ TEST(CertificateBuilder, ExplicitSerialHonored) {
                         .serial_hex("deadbeef")
                         .sign(key);
   EXPECT_EQ(cert.serial_hex(), "deadbeef");
+}
+
+TEST(CertificateBuilder, PublicKeyOfCopiesCsrSpki) {
+  const auto issuer = make_identity("spki-issuer");
+  for (const auto& spec :
+       {crypto::KeySpec::ec(), crypto::KeySpec::rsa(1024)}) {
+    const auto key = crypto::KeyPair::generate(spec);
+    const auto csr = CertificateRequest::from_pem(
+        CertificateRequest::create(DistinguishedName::parse("/CN=req"), key)
+            .to_pem());
+    ASSERT_TRUE(csr.verify());
+    const std::string pem = CertificateBuilder()
+                                .subject(issuer.dn.with_cn(kProxyCn))
+                                .issuer(issuer.dn)
+                                .public_key_of(csr)
+                                .lifetime(Seconds(3600))
+                                .sign_pem(issuer.key);
+    const Certificate cert = Certificate::from_pem(pem);
+    EXPECT_EQ(spki_der(cert), spki_der(csr));
+    EXPECT_EQ(spki_der(cert), encoded_public_key(key));
+    EXPECT_TRUE(cert.public_key().same_public_key(key));
+    EXPECT_TRUE(cert.signed_by(issuer.cert));
+    EXPECT_EQ(cert.proxy_type(), ProxyType::kFull);
+  }
+}
+
+TEST(CertificateBuilder, CopiedKeyIsIssuedOnlyAsPem) {
+  // A certificate carrying copied SPKI bytes has no decoded key, so the
+  // builder never hands it out as an in-memory Certificate.
+  const auto key = crypto::KeyPair::generate(crypto::KeySpec::ec());
+  const auto csr =
+      CertificateRequest::create(DistinguishedName::parse("/CN=req"), key);
+  CertificateBuilder builder;
+  builder.subject(DistinguishedName::parse("/CN=x"))
+      .issuer(DistinguishedName::parse("/CN=x"))
+      .public_key_of(csr);
+  EXPECT_THROW((void)builder.sign(key), Error);
+  EXPECT_NO_THROW((void)builder.sign_pem(key));
+  // Setting a decoded key again re-enables sign().
+  builder.public_key(key);
+  EXPECT_NO_THROW((void)builder.sign(key));
+}
+
+// --- chain_from_pem: only a clean end of input ends the chain ---------------
+
+std::string two_cert_chain() {
+  const auto a = make_identity("cfp-leaf");
+  const auto b = make_identity("cfp-issuer");
+  return a.cert.to_pem() + b.cert.to_pem();
+}
+
+/// Offset of the first base64 character of the second certificate block.
+std::size_t second_body(const std::string& pem) {
+  const std::size_t second = pem.find("-----BEGIN", 1);
+  return pem.find('\n', second) + 1;
+}
+
+TEST(ChainFromPem, CorruptSecondBlockThrows) {
+  std::string pem = two_cert_chain();
+  // 'M' encodes the leading 0x30 SEQUENCE tag; 'A' turns it into 0x00.
+  const std::size_t at = second_body(pem);
+  ASSERT_EQ(pem[at], 'M');
+  pem[at] = 'A';
+  EXPECT_THROW((void)Certificate::chain_from_pem(pem), ParseError);
+}
+
+TEST(ChainFromPem, InvalidBase64InSecondBlockThrows) {
+  std::string pem = two_cert_chain();
+  pem[second_body(pem) + 10] = '!';
+  EXPECT_THROW((void)Certificate::chain_from_pem(pem), ParseError);
+}
+
+TEST(ChainFromPem, TruncatedSecondBlockThrows) {
+  const std::string pem = two_cert_chain();
+  // Cut inside the base64 body: BEGIN line present, END line missing.
+  EXPECT_THROW(
+      (void)Certificate::chain_from_pem(pem.substr(0, second_body(pem) + 70)),
+      ParseError);
+  // Cut just before the END line.
+  EXPECT_THROW((void)Certificate::chain_from_pem(
+                   pem.substr(0, pem.rfind("-----END"))),
+               ParseError);
+}
+
+TEST(ChainFromPem, TrailingWhitespaceAccepted) {
+  const std::string pem = two_cert_chain();
+  for (const std::string tail : {"", "\n", "\n\n  \n", "\r\n\t"}) {
+    const auto chain = Certificate::chain_from_pem(pem + tail);
+    EXPECT_EQ(chain.size(), 2U);
+  }
+}
+
+TEST(ChainFromPem, OtherBlocksAndTextBetweenCertificatesSkipped) {
+  // Credential files interleave a key block; CA files append text lines.
+  const auto a = make_identity("cfp-skip-a");
+  const auto b = make_identity("cfp-skip-b");
+  const std::string pem = a.cert.to_pem() + a.key.private_pem().str() +
+                          b.cert.to_pem() + "revoked 01ab\n";
+  const auto chain = Certificate::chain_from_pem(pem);
+  ASSERT_EQ(chain.size(), 2U);
+  EXPECT_EQ(chain[1], b.cert);
 }
 
 }  // namespace

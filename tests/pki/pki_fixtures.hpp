@@ -2,11 +2,16 @@
 // cheap; RSA-specific behaviour is covered in key_pair_test.cpp.
 #pragma once
 
+#include <openssl/x509.h>
+
+#include <vector>
+
 #include "common/clock.hpp"
 #include "crypto/key_pair.hpp"
 #include "pki/certificate.hpp"
 #include "pki/certificate_authority.hpp"
 #include "pki/certificate_builder.hpp"
+#include "pki/certificate_request.hpp"
 #include "pki/distinguished_name.hpp"
 
 namespace myproxy::pki::testing {
@@ -53,6 +58,36 @@ inline Certificate make_proxy_cert(
       .ca(false);
   if (policy.has_value()) builder.restriction(*policy);
   return builder.sign(issuer.key);
+}
+
+/// DER SubjectPublicKeyInfo bytes, as encoded (never re-derived from a
+/// decoded key).
+inline std::vector<unsigned char> spki_der(const X509_PUBKEY* spki) {
+  unsigned char* der = nullptr;
+  const int len = i2d_X509_PUBKEY(spki, &der);
+  std::vector<unsigned char> out;
+  if (len > 0) out.assign(der, der + len);
+  OPENSSL_free(der);
+  return out;
+}
+
+inline std::vector<unsigned char> spki_der(const Certificate& cert) {
+  return spki_der(X509_get_X509_PUBKEY(cert.native()));
+}
+
+inline std::vector<unsigned char> spki_der(const CertificateRequest& csr) {
+  return spki_der(X509_REQ_get_X509_PUBKEY(csr.native()));
+}
+
+/// i2d_PUBKEY of `key`: what OpenSSL's encoder writes for it.
+inline std::vector<unsigned char> encoded_public_key(
+    const crypto::KeyPair& key) {
+  unsigned char* der = nullptr;
+  const int len = i2d_PUBKEY(key.native(), &der);
+  std::vector<unsigned char> out;
+  if (len > 0) out.assign(der, der + len);
+  OPENSSL_free(der);
+  return out;
 }
 
 }  // namespace myproxy::pki::testing
