@@ -26,7 +26,7 @@
 //   * 4-primary aggregate write throughput >= 2.5x the 1-primary run
 //   * healthy-shard read p99 during the outage <= 3x before + 20 ms
 //
-// Usage: bench_cluster [--quick] [--out FILE] [--writes N]
+// Usage: bench_cluster [--quick] --out FILE [--writes N]
 //                      [--store-latency MS]
 #include <algorithm>
 #include <atomic>
@@ -233,7 +233,7 @@ double write_throughput(VirtualOrganization& vo, Cluster& cluster,
 
 int main(int argc, char** argv) {
   bool quick = false;
-  std::string out_path = "BENCH_cluster.json";
+  std::string out_path;
   std::size_t writes = 160;
   Millis store_latency(200);
   bool store_latency_set = false;
@@ -250,11 +250,15 @@ int main(int argc, char** argv) {
       store_latency = Millis(std::stol(argv[++i]));
       store_latency_set = true;
     } else {
-      std::fprintf(stderr,
-                   "usage: bench_cluster [--quick] [--out FILE] "
-                   "[--writes N] [--store-latency MS]\n");
-      return 2;
+      out_path.clear();
+      break;
     }
+  }
+  if (out_path.empty()) {
+    std::fprintf(stderr,
+                 "usage: bench_cluster [--quick] --out FILE "
+                 "[--writes N] [--store-latency MS]\n");
+    return 2;
   }
   // The smoke checks correctness, not scaling: keep its commits quick.
   if (quick && !store_latency_set) store_latency = Millis(5);

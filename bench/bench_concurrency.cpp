@@ -13,7 +13,7 @@
 //     shed == 0, in_flight >= N while held)
 //   * reactor warm-GET p99 at max N <= max(50 ms, 5 x p99 at N=0)
 //
-// Usage: bench_concurrency [--quick] [--out FILE] [--max-connections N]
+// Usage: bench_concurrency [--quick] --out FILE [--max-connections N]
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -87,7 +87,7 @@ server::ServerConfig sweep_config() {
 
 int main(int argc, char** argv) {
   bool quick = false;
-  std::string out_path = "BENCH_concurrency.json";
+  std::string out_path;
   std::size_t max_connections = 5000;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -98,11 +98,15 @@ int main(int argc, char** argv) {
     } else if (arg == "--max-connections" && i + 1 < argc) {
       max_connections = static_cast<std::size_t>(std::stoul(argv[++i]));
     } else {
-      std::fprintf(stderr,
-                   "usage: bench_concurrency [--quick] [--out FILE] "
-                   "[--max-connections N]\n");
-      return 2;
+      out_path.clear();
+      break;
     }
+  }
+  if (out_path.empty()) {
+    std::fprintf(stderr,
+                 "usage: bench_concurrency [--quick] --out FILE "
+                 "[--max-connections N]\n");
+    return 2;
   }
   if (quick) max_connections = std::min<std::size_t>(max_connections, 500);
 

@@ -10,7 +10,7 @@
 //              paused so pool CPU stays out of the measured window — the
 //              steady-state behaviour on a multi-core host).
 //
-// Emits machine-readable JSON (default BENCH_fig2_get.json) with p50/p90
+// Emits machine-readable JSON to the --out file with p50/p90
 // per series, the speedup, and the pool / resumption / cache counters, and
 // fails loudly when the fast path regresses:
 //   * resumed handshakes must be > 0 (both modes)
@@ -18,9 +18,7 @@
 //   * p50 speedup must be >= 2x (full mode only; --quick runs too few
 //     iterations to gate on latency and is wired into ctest as a smoke)
 //
-// Usage: bench_hotpath [--quick] [--out FILE] [--fig2-json FILE]
-//   --fig2-json embeds a `bench_fig2_get --benchmark_out=...` JSON file
-//   verbatim under the "bench_fig2_get" key (run_bench.sh does this).
+// Usage: bench_hotpath [--quick] --out FILE
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -84,22 +82,21 @@ void emit_series(std::ostream& out, const char* name, const Series& s) {
 
 int main(int argc, char** argv) {
   bool quick = false;
-  std::string out_path = "BENCH_fig2_get.json";
-  std::string fig2_json_path;
+  std::string out_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--quick") {
       quick = true;
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
-    } else if (arg == "--fig2-json" && i + 1 < argc) {
-      fig2_json_path = argv[++i];
     } else {
-      std::fprintf(stderr,
-                   "usage: bench_hotpath [--quick] [--out FILE] "
-                   "[--fig2-json FILE]\n");
-      return 2;
+      out_path.clear();
+      break;
     }
+  }
+  if (out_path.empty()) {
+    std::fprintf(stderr, "usage: bench_hotpath [--quick] --out FILE\n");
+    return 2;
   }
 
   quiet_logs();
@@ -188,22 +185,8 @@ int main(int argc, char** argv) {
        << ", \"keypool_misses\": " << stats.keypool_misses.load() << "},\n"
        << "  \"store_cache\": {\"hits\": " << cache_stats.hits
        << ", \"misses\": " << cache_stats.misses
-       << ", \"invalidations\": " << cache_stats.invalidations << "},\n";
-  json << "  \"bench_fig2_get\": ";
-  if (!fig2_json_path.empty()) {
-    std::ifstream fig2(fig2_json_path);
-    if (!fig2) {
-      std::fprintf(stderr, "bench_hotpath: cannot read %s\n",
-                   fig2_json_path.c_str());
-      return 2;
-    }
-    std::ostringstream raw;
-    raw << fig2.rdbuf();
-    json << raw.str();
-  } else {
-    json << "null";
-  }
-  json << "\n}\n";
+       << ", \"invalidations\": " << cache_stats.invalidations << "}\n"
+       << "}\n";
 
   std::ofstream out(out_path);
   out << json.str();
@@ -216,7 +199,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(cache_stats.hits));
   std::printf("wrote %s\n", out_path.c_str());
 
-  // Regression gates — loud failures for ctest and run_bench.sh.
+  // Regression gates — loud failures for ctest and bench/run.py.
   bool ok = true;
   if (stats.resumed_handshakes.load() == 0) {
     std::fprintf(stderr, "FAIL: no resumed handshakes recorded\n");

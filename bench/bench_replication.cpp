@@ -18,7 +18,7 @@
 //   * lag p99 <= 2000 ms (batched shipping keeps replicas close)
 //   * failover median <= 5000 ms
 //
-// Usage: bench_replication [--quick] [--out FILE] [--writes N]
+// Usage: bench_replication [--quick] --out FILE [--writes N]
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -114,7 +114,7 @@ struct ReplicatedPair {
 
 int main(int argc, char** argv) {
   bool quick = false;
-  std::string out_path = "BENCH_replication.json";
+  std::string out_path;
   std::size_t writes = 200;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -126,11 +126,15 @@ int main(int argc, char** argv) {
     } else if (arg == "--writes" && i + 1 < argc) {
       writes = static_cast<std::size_t>(std::stoul(argv[++i]));
     } else {
-      std::fprintf(stderr,
-                   "usage: bench_replication [--quick] [--out FILE] "
-                   "[--writes N]\n");
-      return 2;
+      out_path.clear();
+      break;
     }
+  }
+  if (out_path.empty()) {
+    std::fprintf(stderr,
+                 "usage: bench_replication [--quick] --out FILE "
+                 "[--writes N]\n");
+    return 2;
   }
 
   quiet_logs();

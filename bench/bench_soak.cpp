@@ -19,7 +19,7 @@
 //   * abuser sheds > 0 and the server counts them as rate sheds
 //   * polite p99 (abuse) < 2 x max(polite p99 (baseline), 1 ms)
 //
-// Usage: bench_soak [--quick] [--out FILE] [--records N]
+// Usage: bench_soak [--quick] --out FILE [--records N]
 //                   [--abuser-threads K] [--zipf-s S]
 #include <algorithm>
 #include <atomic>
@@ -223,7 +223,7 @@ PhaseResult run_phase(VirtualOrganization& vo,
 
 int main(int argc, char** argv) {
   bool quick = false;
-  std::string out_path = "BENCH_soak.json";
+  std::string out_path;
   SoakParams params;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -238,11 +238,15 @@ int main(int argc, char** argv) {
     } else if (arg == "--zipf-s" && i + 1 < argc) {
       params.zipf_s = std::stod(argv[++i]);
     } else {
-      std::fprintf(stderr,
-                   "usage: bench_soak [--quick] [--out FILE] [--records N] "
-                   "[--abuser-threads K] [--zipf-s S]\n");
-      return 2;
+      out_path.clear();
+      break;
     }
+  }
+  if (out_path.empty()) {
+    std::fprintf(stderr,
+                 "usage: bench_soak [--quick] --out FILE [--records N] "
+                 "[--abuser-threads K] [--zipf-s S]\n");
+    return 2;
   }
   if (quick) {
     params.records = std::min<std::size_t>(params.records, 2000);

@@ -22,7 +22,7 @@
 //   * sharded sweep time ratio (N vs N/10, same expired count) <= 5x
 //   * sharded list p50 ratio (N vs N/10, same wallet size) <= 3x
 //
-// Usage: bench_store_scale [--quick] [--out FILE] [--records N]
+// Usage: bench_store_scale [--quick] --out FILE [--records N]
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -189,7 +189,7 @@ void emit_latencies(std::ostream& out, const char* name,
 
 int main(int argc, char** argv) {
   bool quick = false;
-  std::string out_path = "BENCH_store_scale.json";
+  std::string out_path;
   std::size_t records = 100000;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -201,11 +201,15 @@ int main(int argc, char** argv) {
     } else if (arg == "--records" && i + 1 < argc) {
       records = static_cast<std::size_t>(std::stoul(argv[++i]));
     } else {
-      std::fprintf(stderr,
-                   "usage: bench_store_scale [--quick] [--out FILE] "
-                   "[--records N]\n");
-      return 2;
+      out_path.clear();
+      break;
     }
+  }
+  if (out_path.empty()) {
+    std::fprintf(stderr,
+                 "usage: bench_store_scale [--quick] --out FILE "
+                 "[--records N]\n");
+    return 2;
   }
 
   quiet_logs();

@@ -1,7 +1,6 @@
 // Shared scaffolding for the benchmark harness: an in-process virtual
 // organization (CA + credentials) and a running repository, mirroring the
-// examples but tuned for measurement (EC keys unless a benchmark sweeps key
-// type; configurable KDF cost).
+// examples but tuned for measurement (EC keys; configurable KDF cost).
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -38,12 +37,10 @@ class VirtualOrganization {
   }
 
   [[nodiscard]] gsi::Credential enroll(const std::string& ou,
-                                       const std::string& cn,
-                                       const crypto::KeySpec& spec =
-                                           crypto::KeySpec::ec()) {
+                                       const std::string& cn) {
     const auto dn =
         pki::DistinguishedName::parse("/C=US/O=Grid/OU=" + ou + "/CN=" + cn);
-    auto key = crypto::KeyPair::generate(spec);
+    auto key = crypto::KeyPair::generate(crypto::KeySpec::ec());
     auto cert = ca_.issue(dn, key, Seconds(365L * 24 * 3600));
     return gsi::Credential(std::move(cert), std::move(key));
   }
@@ -88,7 +85,7 @@ struct RepositoryFixture {
 };
 
 /// Default moderate KDF cost so wall-clock stays dominated by the protocol
-/// under test (bench_at_rest sweeps the KDF itself).
+/// under test (bench_crypto's BM_AtRest_* series sweep the KDF itself).
 inline repository::RepositoryPolicy bench_policy(
     unsigned kdf_iterations = 1000) {
   repository::RepositoryPolicy policy;

@@ -6,6 +6,8 @@
 #include <filesystem>
 #include <thread>
 
+#include <unistd.h>
+
 #include "client/myproxy_client.hpp"
 #include "common/error.hpp"
 #include "gsi/gsi_fixtures.hpp"
@@ -431,8 +433,8 @@ TEST(BackgroundSweeper, RemovesExpiredRecordsWhileServing) {
 TEST(FileStorePersistence, CredentialsSurviveServerRestart) {
   // A repository restart (FileCredentialStore) must not lose pass-phrase-
   // sealed records — the at-rest format is self-contained.
-  const auto dir =
-      std::filesystem::temp_directory_path() / "myproxy-restart-test";
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("myproxy-restart-test-" + std::to_string(::getpid()));
   std::filesystem::remove_all(dir);
   const auto alice = make_user("fi-restart-alice");
   const auto host = make_host("fi-restart-myproxy");

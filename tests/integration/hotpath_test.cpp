@@ -51,7 +51,7 @@ class HotPathTest : public ::testing::Test {
     cache_ = cached.get();
 
     repository::RepositoryPolicy policy;
-    policy.kdf_iterations = 100;  // fast tests; cost swept in bench_at_rest
+    policy.kdf_iterations = 100;  // fast tests; cost swept in BM_AtRest_*
     repo_ = std::make_shared<repository::Repository>(std::move(cached),
                                                      policy);
 

@@ -31,7 +31,7 @@ class MyProxyIntegrationTest : public ::testing::Test {
  protected:
   void SetUp() override {
     repository::RepositoryPolicy policy;
-    policy.kdf_iterations = 100;  // fast tests; cost swept in bench_at_rest
+    policy.kdf_iterations = 100;  // fast tests; cost swept in BM_AtRest_*
     auto repo = std::make_shared<repository::Repository>(
         std::make_unique<repository::MemoryCredentialStore>(), policy);
     repo_ = repo;

@@ -10,6 +10,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 namespace myproxy::repository {
 namespace {
 
@@ -141,7 +143,7 @@ TEST(CachedStoreTest, CapacityBoundHolds) {
 
 TEST(CachedStoreTest, WorksOverFileStore) {
   const auto dir = std::filesystem::temp_directory_path() /
-                   "myproxy-cached-store-test";
+                   ("myproxy-cached-store-test-" + std::to_string(::getpid()));
   std::filesystem::remove_all(dir);
   auto store = std::make_unique<CachedCredentialStore>(
       std::make_unique<FileCredentialStore>(dir), 4);

@@ -8,6 +8,8 @@
 #include <set>
 #include <thread>
 
+#include <unistd.h>
+
 #include "common/error.hpp"
 #include "common/strings.hpp"
 
@@ -136,7 +138,7 @@ class CredentialStoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = std::filesystem::temp_directory_path() /
-           ("myproxy-store-test-" +
+           ("myproxy-store-test-" + std::to_string(::getpid()) + "-" +
             std::to_string(reinterpret_cast<std::uintptr_t>(this)));
     std::filesystem::remove_all(dir_);
     store_ = make_store<StoreT>(dir_.string());
@@ -212,8 +214,8 @@ TYPED_TEST(CredentialStoreTest, SweepRemovesOnlyExpired) {
 }
 
 TEST(FileCredentialStore, PersistsAcrossInstances) {
-  const auto dir =
-      std::filesystem::temp_directory_path() / "myproxy-persist-test";
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("myproxy-persist-test-" + std::to_string(::getpid()));
   std::filesystem::remove_all(dir);
   {
     FileCredentialStore store(dir);
@@ -229,8 +231,8 @@ TEST(FileCredentialStore, PersistsAcrossInstances) {
 }
 
 TEST(FileCredentialStore, RecordFilesAreOwnerOnly) {
-  const auto dir =
-      std::filesystem::temp_directory_path() / "myproxy-perms-test";
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("myproxy-perms-test-" + std::to_string(::getpid()));
   std::filesystem::remove_all(dir);
   FileCredentialStore store(dir);
   store.put(make_record("alice"));
@@ -491,8 +493,9 @@ TEST_F(ShardedStoreTest, UnparsableRecordSkippedNotServed) {
 }
 
 TEST(FlatFileCredentialStore, DirectoryIterationErrorsSurface) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   "myproxy-flat-iter-error-test";
+  const auto dir =
+      std::filesystem::temp_directory_path() /
+      ("myproxy-flat-iter-error-test-" + std::to_string(::getpid()));
   std::filesystem::remove_all(dir);
   FlatFileCredentialStore store(dir);
   store.put(make_record("alice"));

@@ -4,11 +4,19 @@
 
 #include <filesystem>
 
+#include <unistd.h>
+
 #include "gsi/gsi_fixtures.hpp"
 #include "gsi/proxy.hpp"
 
 namespace myproxy::tools {
 namespace {
+
+/// Scratch path unique to this process, so concurrent test runs never share it.
+std::filesystem::path temp_path(const std::string& name) {
+  return std::filesystem::temp_directory_path() /
+         (name + "-" + std::to_string(::getpid()));
+}
 
 Args make_args(std::vector<std::string> argv,
                std::vector<std::string> value_flags) {
@@ -72,8 +80,7 @@ TEST(Args, PortsFromArgsRejectsGarbage) {
 }
 
 TEST(FileIo, WriteReadRoundTrip) {
-  const auto path =
-      std::filesystem::temp_directory_path() / "myproxy-toolutil-test.txt";
+  const auto path = temp_path("myproxy-toolutil-test.txt");
   write_file(path, "contents\n");
   EXPECT_EQ(read_file(path), "contents\n");
   std::filesystem::remove(path);
@@ -81,8 +88,7 @@ TEST(FileIo, WriteReadRoundTrip) {
 }
 
 TEST(FileIo, PrivateModeRestrictsPermissions) {
-  const auto path =
-      std::filesystem::temp_directory_path() / "myproxy-toolutil-priv.pem";
+  const auto path = temp_path("myproxy-toolutil-priv.pem");
   write_file(path, "secret", /*private_mode=*/true);
   const auto perms = std::filesystem::status(path).permissions();
   EXPECT_EQ(perms & (std::filesystem::perms::group_all |
@@ -92,8 +98,7 @@ TEST(FileIo, PrivateModeRestrictsPermissions) {
 }
 
 TEST(CredentialIo, LoadCredentialAndTrustStore) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   "myproxy-toolutil-cred-test";
+  const auto dir = temp_path("myproxy-toolutil-cred-test");
   std::filesystem::create_directories(dir);
 
   const auto user = gsi::testing::make_user("toolutil-user");
@@ -113,8 +118,7 @@ TEST(CredentialIo, LoadCredentialAndTrustStore) {
 }
 
 TEST(PassphraseInput, ReadsFromFileAndStripsNewline) {
-  const auto path =
-      std::filesystem::temp_directory_path() / "myproxy-toolutil-pp.txt";
+  const auto path = temp_path("myproxy-toolutil-pp.txt");
   write_file(path, "my pass phrase\n");
   auto args = make_args({"--passphrase-file", path.string()},
                         {"--passphrase-file"});
