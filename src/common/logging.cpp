@@ -50,13 +50,11 @@ Logger& Logger::instance() {
 }
 
 void Logger::set_level(Level level) noexcept {
-  const std::scoped_lock lock(mutex_);
-  level_ = level;
+  level_.store(level, std::memory_order_relaxed);
 }
 
 Level Logger::level() const noexcept {
-  const std::scoped_lock lock(mutex_);
-  return level_;
+  return level_.load(std::memory_order_relaxed);
 }
 
 void Logger::set_sink(std::ostream* sink) noexcept {

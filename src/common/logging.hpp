@@ -4,6 +4,7 @@
 // not cosmetic).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <ostream>
@@ -22,6 +23,7 @@ class Logger {
  public:
   static Logger& instance();
 
+  /// Lock-free: level() runs on every log call, before any formatting.
   void set_level(Level level) noexcept;
   [[nodiscard]] Level level() const noexcept;
 
@@ -38,8 +40,8 @@ class Logger {
  private:
   Logger() = default;
 
-  mutable std::mutex mutex_;
-  Level level_ = Level::kInfo;
+  std::atomic<Level> level_{Level::kInfo};
+  mutable std::mutex mutex_;  ///< guards the sink and the warning counter
   std::ostream* sink_ = nullptr;
   std::uint64_t warnings_ = 0;
 };

@@ -12,8 +12,8 @@
 
 namespace myproxy::crypto {
 
-/// Default PBKDF2 iteration count. bench_at_rest sweeps this to show the
-/// security/latency tradeoff.
+/// Default PBKDF2 iteration count. The BM_AtRest_* series sweep it to show
+/// the security/latency tradeoff (bench_crypto --benchmark_filter=BM_AtRest_).
 inline constexpr unsigned kDefaultKdfIterations = 10'000;
 
 /// Largest iteration count an envelope may be sealed or opened under. The

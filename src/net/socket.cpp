@@ -39,19 +39,13 @@ timeval to_timeval(std::chrono::milliseconds timeout) {
 
 void Socket::write_all(std::string_view data) {
   if (!valid()) throw IoError("write on closed socket");
-  std::size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n =
-        ::send(fd_, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno_is_timeout()) {
-        throw IoTimeout(fmt::format(
-            "send deadline expired ({} of {} bytes sent)", sent, data.size()));
-      }
-      throw_errno("send");
+  for (std::size_t sent = 0; sent < data.size();) {
+    const std::size_t n = try_write(data.substr(sent));
+    if (n == 0) {
+      throw IoTimeout(fmt::format(
+          "send deadline expired ({} of {} bytes sent)", sent, data.size()));
     }
-    sent += static_cast<std::size_t>(n);
+    sent += n;
   }
 }
 
@@ -79,18 +73,35 @@ std::string Socket::read_exact(std::size_t n) {
 }
 
 std::string Socket::read_some(std::size_t n) {
-  std::string out;
-  out.resize(n);
-  while (true) {
-    const ssize_t r = ::recv(fd_, out.data(), n, 0);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      if (errno_is_timeout()) throw IoTimeout("receive deadline expired");
-      throw_errno("recv");
-    }
-    out.resize(static_cast<std::size_t>(r));
-    return out;
+  auto out = try_read_some(n);
+  if (!out.has_value()) throw IoTimeout("receive deadline expired");
+  return std::move(*out);
+}
+
+std::optional<std::string> Socket::try_read_some(std::size_t n) {
+  std::string out(n, '\0');
+  ssize_t r = 0;
+  do {
+    r = ::recv(fd_, out.data(), n, 0);
+  } while (r < 0 && errno == EINTR);
+  if (r < 0) {
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return std::nullopt;
+    throw_errno("recv");
   }
+  out.resize(static_cast<std::size_t>(r));
+  return out;
+}
+
+std::size_t Socket::try_write(std::string_view data) {
+  ssize_t n = 0;
+  do {
+    n = ::send(fd_, data.data(), data.size(), MSG_NOSIGNAL);
+  } while (n < 0 && errno == EINTR);
+  if (n < 0) {
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return 0;
+    throw_errno("send");
+  }
+  return static_cast<std::size_t>(n);
 }
 
 void Socket::set_read_timeout(std::chrono::milliseconds timeout) {
@@ -193,10 +204,6 @@ TcpListener TcpListener::bind(std::uint16_t port, std::string_view address) {
     throw_errno("getsockname");
   }
   return TcpListener(std::move(socket), ntohs(addr.sin_port));
-}
-
-void TcpListener::shutdown() noexcept {
-  if (socket_.valid()) ::shutdown(socket_.fd(), SHUT_RDWR);
 }
 
 void TcpListener::close() noexcept {

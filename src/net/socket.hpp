@@ -41,6 +41,14 @@ class Socket {
   /// Read up to `n` bytes; returns empty string on orderly EOF.
   [[nodiscard]] std::string read_some(std::size_t n);
 
+  /// Single-call forms for event-loop code on a non-blocking socket:
+  /// try_read_some returns nullopt when nothing is ready and an empty string
+  /// on orderly EOF; try_write returns the bytes the kernel took, 0 when the
+  /// send buffer is full. Both throw IoError on real failures. (On a
+  /// blocking socket "not ready" means its SO_*TIMEO deadline expired.)
+  [[nodiscard]] std::optional<std::string> try_read_some(std::size_t n);
+  [[nodiscard]] std::size_t try_write(std::string_view data);
+
   /// Arm a per-read deadline (SO_RCVTIMEO): any single recv that makes no
   /// progress for `timeout` fails with IoTimeout. Zero clears the deadline.
   /// Applies to everything layered on this descriptor, including TLS reads.
@@ -115,17 +123,9 @@ class TcpListener {
   /// Listening descriptor, for event-loop registration.
   [[nodiscard]] int fd() const noexcept { return socket_.fd(); }
 
-  /// Unblock any accept() blocked in another thread WITHOUT invalidating
-  /// the descriptor: a pure read of the fd, so it is safe to call while
-  /// another thread is inside accept(). The blocked accept() returns with
-  /// an error. Call close() after joining that thread.
-  void shutdown() noexcept;
-
-  /// Unblock any accept() blocked in another thread and invalidate the
-  /// listener. (shutdown() is what actually interrupts accept() on Linux;
-  /// close() alone leaves the accepting thread blocked.) Note close()
-  /// rewrites the fd and must not race a concurrent accept() — prefer
-  /// shutdown(), join, then close() for cross-thread teardown.
+  /// Unblock any accept() blocked in another thread (shutdown, which is
+  /// what interrupts accept() on Linux) and invalidate the listener. Note
+  /// close() rewrites the fd and must not race a concurrent accept() call.
   void close() noexcept;
 
  private:

@@ -158,7 +158,7 @@ std::size_t ReplicatedStore::size() const { return inner_->size(); }
 std::size_t ReplicatedStore::sweep_expired() {
   // Expiry is enforced independently on every node (primary and replicas
   // share the records' absolute not_after instants), so sweeps are not
-  // journaled — replicas run their own sweep threads.
+  // journaled — replicas run their own expiry sweeps.
   return inner_->sweep_expired();
 }
 

@@ -124,8 +124,8 @@ void Repository::store(std::string_view username,
     record.blob = crypto::passphrase_seal(pass_phrase, pem.view(), aad,
                                           policy_.kdf_iterations);
   } else {
-    // Ablation path (bench_at_rest): plaintext record, authentication falls
-    // back to a stored digest of the pass phrase.
+    // Ablation path (BM_AtRest_StoreOpen/0): plaintext record,
+    // authentication falls back to a stored digest of the pass phrase.
     record.sealing = Sealing::kPlain;
     record.passphrase_digest = passphrase_digest_for(aad, pass_phrase);
     record.blob = encoding::to_bytes(pem.view());

@@ -41,7 +41,7 @@ struct RepositoryPolicy {
   /// Used when a GET request does not name a lifetime (§4.3: "a few hours").
   Seconds default_delegation_lifetime = kDefaultDelegatedLifetime;
 
-  /// PBKDF2 cost for the at-rest envelope (swept by bench_at_rest).
+  /// PBKDF2 cost for the at-rest envelope (swept by the BM_AtRest_* series).
   unsigned kdf_iterations = crypto::kDefaultKdfIterations;
 
   /// Ablation switch: disable at-rest encryption to measure its cost and

@@ -1,18 +1,13 @@
 #include "server/metrics.hpp"
 
+#include <algorithm>
 #include <bit>
 
-#include "common/clock.hpp"
-#include "common/error.hpp"
 #include "common/format.hpp"
-#include "common/logging.hpp"
-#include "portal/http.hpp"
 
 namespace myproxy::server {
 
 namespace {
-
-constexpr std::string_view kLogComponent = "metrics";
 
 /// Per-thread shard assignment: round-robin at first use, so a pool of
 /// workers spreads across shards instead of hashing onto the same line.
@@ -76,91 +71,6 @@ void append_histogram(std::string& out, std::string_view name,
       label.empty() ? std::string() : fmt::format("{{{}}}", label);
   out += fmt::format("{}_sum{} {}\n", name, selector, snapshot.sum_us);
   out += fmt::format("{}_count{} {}\n", name, selector, snapshot.total);
-}
-
-// --- MetricsEndpoint ---------------------------------------------------------
-
-MetricsEndpoint::MetricsEndpoint(MetricsConfig config,
-                                 std::function<std::string()> render)
-    : config_(std::move(config)), render_(std::move(render)) {}
-
-MetricsEndpoint::~MetricsEndpoint() { stop(); }
-
-void MetricsEndpoint::start() {
-  if (!net::is_loopback_address(config_.bind_address) && !config_.bind_any) {
-    throw ConfigError(fmt::format(
-        "metrics endpoint refuses non-loopback bind '{}' without "
-        "metrics_bind_any=true (the scrape is unauthenticated plaintext)",
-        config_.bind_address));
-  }
-  listener_.emplace(
-      net::TcpListener::bind(config_.port, config_.bind_address));
-  port_ = listener_->port();
-  accept_thread_ = std::thread([this] { accept_loop(); });
-  log::info(kLogComponent, "metrics endpoint listening on {}:{}",
-            config_.bind_address, port_);
-}
-
-void MetricsEndpoint::stop() {
-  if (stopping_.exchange(true)) return;
-  if (listener_.has_value()) listener_->shutdown();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (listener_.has_value()) listener_->close();
-}
-
-void MetricsEndpoint::accept_loop() {
-  while (!stopping_.load()) {
-    net::Socket socket;
-    try {
-      socket = listener_->accept();
-    } catch (const IoError&) {
-      break;  // listener shut down
-    }
-    try {
-      serve(std::move(socket));
-    } catch (const std::exception& e) {
-      // A broken or slow scraper must not take the endpoint down.
-      log::warn(kLogComponent, "scrape failed: {}", e.what());
-    }
-  }
-}
-
-void MetricsEndpoint::serve(net::Socket socket) {
-  socket.set_deadlines(Millis(2000), Millis(2000));
-  // GET has no body: the request is complete at the header terminator.
-  std::string raw;
-  while (raw.find("\r\n\r\n") == std::string::npos) {
-    if (raw.size() > 8192) throw ProtocolError("oversized metrics request");
-    const std::string chunk = socket.read_some(1024);
-    if (chunk.empty()) throw IoError("scraper closed mid-request");
-    raw += chunk;
-  }
-  portal::HttpResponse response;
-  try {
-    const portal::HttpRequest request = portal::parse_request(raw);
-    const std::string_view target(request.target);
-    const bool is_metrics =
-        target == "/metrics" || target.substr(0, 9) == "/metrics?";
-    if (request.method != "GET") {
-      response = portal::HttpResponse::error(405, "Method Not Allowed",
-                                             "GET only\n");
-    } else if (!is_metrics) {
-      response =
-          portal::HttpResponse::error(404, "Not Found", "try /metrics\n");
-    } else {
-      response.status = 200;
-      response.reason = "OK";
-      response.headers["content-type"] =
-          "text/plain; version=0.0.4; charset=utf-8";
-      response.body = render_();
-    }
-  } catch (const Error&) {
-    response = portal::HttpResponse::error(400, "Bad Request",
-                                           "malformed request\n");
-  }
-  response.headers["connection"] = "close";
-  socket.write_all(response.serialize());
-  socket.shutdown_send();
 }
 
 }  // namespace myproxy::server

@@ -1,22 +1,15 @@
 // Live metrics for the repository server: lock-free latency histograms and
-// a plaintext-HTTP /metrics endpoint (Prometheus text exposition format).
-//
-// The endpoint binds to loopback by default — the scrape carries no
-// credentials and the counters leak operational shape, so exposing it off-
-// host is an explicit opt-in (metrics_bind_any). It reuses portal::http for
-// message parsing; transport is raw TCP (a scraper is a trusted local
-// agent, unlike the mutually-authenticated Grid protocol).
+// their Prometheus text rendering. The plaintext /metrics scrape itself is
+// served on the reactor's loop 0 (reactor.hpp); MyProxyServer::start()
+// refuses a non-loopback bind unless metrics_bind_any is set, since the
+// scrape carries no credentials and the counters leak operational shape.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <functional>
-#include <optional>
 #include <string>
-#include <thread>
-
-#include "net/socket.hpp"
+#include <string_view>
 
 namespace myproxy::server {
 
@@ -68,44 +61,5 @@ class LatencyHistogram {
 void append_histogram(std::string& out, std::string_view name,
                       std::string_view label,
                       const LatencyHistogram::Snapshot& snapshot);
-
-struct MetricsConfig {
-  bool enabled = false;
-  std::uint16_t port = 0;  ///< 0 = ephemeral (tests)
-  std::string bind_address = "127.0.0.1";
-  /// Refuse to start on a non-loopback bind_address unless set: the scrape
-  /// is unauthenticated plaintext.
-  bool bind_any = false;
-};
-
-/// Minimal single-threaded HTTP server for GET /metrics. One connection at
-/// a time, Connection: close, short socket deadlines so a stalled scraper
-/// cannot wedge the accept loop for long.
-class MetricsEndpoint {
- public:
-  MetricsEndpoint(MetricsConfig config, std::function<std::string()> render);
-  ~MetricsEndpoint();
-
-  MetricsEndpoint(const MetricsEndpoint&) = delete;
-  MetricsEndpoint& operator=(const MetricsEndpoint&) = delete;
-
-  /// Bind and start serving. Throws ConfigError when bind_address is not
-  /// loopback and bind_any is false.
-  void start();
-  void stop();
-
-  [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
-
- private:
-  void accept_loop();
-  void serve(net::Socket socket);
-
-  MetricsConfig config_;
-  std::function<std::string()> render_;
-  std::optional<net::TcpListener> listener_;
-  std::uint16_t port_ = 0;
-  std::thread accept_thread_;
-  std::atomic<bool> stopping_{false};
-};
 
 }  // namespace myproxy::server

@@ -66,9 +66,9 @@ AdmissionLimits effective_admission_limits(const AdmissionLimits& requested,
   return limits;
 }
 
-/// SIGHUP sets a process-wide generation; each server's reload_loop polls
-/// it and re-reads its own config_file. Signal-handler-safe: one relaxed
-/// fetch_add, nothing else.
+/// SIGHUP sets a process-wide generation; each server's reload_tick polls
+/// it every 100 ms and re-reads its own config_file. Signal-handler-safe:
+/// one relaxed fetch_add, nothing else.
 std::atomic<std::uint64_t> g_reload_generation{0};
 
 void on_sighup(int) {
@@ -237,6 +237,14 @@ MyProxyServer::MyProxyServer(
 MyProxyServer::~MyProxyServer() { stop(); }
 
 void MyProxyServer::start() {
+  if (config_.metrics_enabled &&
+      !net::is_loopback_address(config_.metrics_bind_address) &&
+      !config_.metrics_bind_any) {
+    throw ConfigError(fmt::format(
+        "metrics endpoint refuses non-loopback bind '{}' without "
+        "metrics_bind_any=true (the scrape is unauthenticated plaintext)",
+        config_.metrics_bind_address));
+  }
   if (!config_.audit_log_file.empty()) {
     audit_.set_file(config_.audit_log_file);
   }
@@ -274,48 +282,34 @@ void MyProxyServer::start() {
   }
   listener_.emplace(net::TcpListener::bind(config_.port));
   port_ = listener_->port();
+  if (config_.metrics_enabled) {
+    metrics_listener_.emplace(net::TcpListener::bind(
+        config_.metrics_port, config_.metrics_bind_address));
+  }
   pool_ = std::make_unique<ThreadPool>(
       config_.worker_threads,
       config_.max_pending_connections == 0 ? 256
                                            : config_.max_pending_connections);
-  reactor_ = std::make_unique<Reactor>(*this, *listener_,
-                                       config_.reactor_threads);
-  reactor_->start();
-  if (config_.metrics_enabled) {
-    MetricsConfig metrics_config;
-    metrics_config.enabled = true;
-    metrics_config.port = config_.metrics_port;
-    metrics_config.bind_address = config_.metrics_bind_address;
-    metrics_config.bind_any = config_.metrics_bind_any;
-    metrics_ = std::make_unique<MetricsEndpoint>(
-        metrics_config, [this] { return render_metrics(); });
-    metrics_->start();
-  }
+  reactor_ = std::make_unique<Reactor>(
+      *this, *listener_,
+      metrics_listener_.has_value() ? &*metrics_listener_ : nullptr,
+      config_.reactor_threads);
   if (!config_.config_file.empty()) {
     // Admission limits hot-reload on SIGHUP without disturbing established
-    // TLS sessions: the handler only bumps a generation; this thread does
-    // the config re-read outside signal context.
+    // TLS sessions: the handler only bumps a generation; a loop-0 timer
+    // notices it and a worker does the config re-read.
     std::signal(SIGHUP, on_sighup);
     seen_reload_generation_ =
         g_reload_generation.load(std::memory_order_relaxed);
-    reload_thread_ = std::thread([this] { reload_loop(); });
+    reactor_->every(Millis(100), [this] { reload_tick(); });
   }
   if (config_.sweep_interval > Seconds(0)) {
-    sweep_thread_ = std::thread([this] {
-      std::unique_lock lock(stop_mutex_);
-      while (!stop_cv_.wait_for(lock, config_.sweep_interval,
-                                [this] { return stopping_.load(); })) {
-        const std::size_t swept = repository_->sweep_expired();
-        stats_.sweeps.fetch_add(1, std::memory_order_relaxed);
-        stats_.records_swept.fetch_add(swept, std::memory_order_relaxed);
-        stats_.store_records.store(repository_->size(),
-                                   std::memory_order_relaxed);
-        if (swept > 0) {
-          log::info(kLogComponent, "expiry sweep removed {} record(s)",
-                    swept);
-        }
-      }
-    });
+    reactor_->every(config_.sweep_interval, [this] { sweep_tick(); });
+  }
+  reactor_->start();
+  if (metrics_listener_.has_value()) {
+    log::info(kLogComponent, "metrics endpoint listening on {}:{}",
+              config_.metrics_bind_address, metrics_port());
   }
   log::info(kLogComponent, "myproxy-server listening on port {} as '{}'",
             port_, host_credential_.identity().str());
@@ -323,26 +317,16 @@ void MyProxyServer::start() {
 
 void MyProxyServer::stop() {
   if (stopping_.exchange(true)) return;
-  {
-    // Notify while holding the mutex: without it the sweep thread can check
-    // its predicate, miss this notify, and then sleep a full sweep_interval
-    // before noticing stopping_ (lost-wakeup race). Holding the lock means
-    // the sweeper is either before the predicate check (and will see
-    // stopping_ == true) or already parked in wait_for (and gets the
-    // notification).
-    const std::scoped_lock lock(stop_mutex_);
-    stop_cv_.notify_all();
-  }
   // Stop the event loops first (~Reactor: eventfd wakeup + join); that also
-  // deregisters the listener and drops any connections still mid-handshake.
+  // deregisters the listeners, cancels the housekeeping timers and drops
+  // any connections and scrapes still in progress. Before the pools: a
+  // scrape reads their gauges.
   reactor_.reset();
-  if (sweep_thread_.joinable()) sweep_thread_.join();
-  if (reload_thread_.joinable()) reload_thread_.join();
-  metrics_.reset();  // before the pools: a scrape reads their gauges
-  pool_.reset();  // drains and joins workers
+  pool_.reset();  // drains and joins workers, with any queued sweep/reload
   key_pool_.reset();  // after workers: handlers may still hold the pool
   replica_session_.reset();  // after workers: STATS handlers read its stats
   if (listener_.has_value()) listener_->close();
+  if (metrics_listener_.has_value()) metrics_listener_->close();
   log::info(kLogComponent, "myproxy-server stopped");
 }
 
@@ -358,15 +342,27 @@ void MyProxyServer::reload_limits(const AdmissionLimits& limits) {
             effective.preauth_rate_limit_rps);
 }
 
-void MyProxyServer::reload_loop() {
-  std::unique_lock lock(stop_mutex_);
-  while (!stop_cv_.wait_for(lock, Millis(100),
-                            [this] { return stopping_.load(); })) {
-    const std::uint64_t generation =
-        g_reload_generation.load(std::memory_order_relaxed);
-    if (generation == seen_reload_generation_) continue;
-    seen_reload_generation_ = generation;
-    lock.unlock();
+void MyProxyServer::sweep_tick() {
+  if (sweep_in_flight_.exchange(true)) return;
+  const bool queued = pool_->try_submit([this] {
+    const std::size_t swept = repository_->sweep_expired();
+    stats_.sweeps.fetch_add(1, std::memory_order_relaxed);
+    stats_.records_swept.fetch_add(swept, std::memory_order_relaxed);
+    stats_.store_records.store(repository_->size(),
+                               std::memory_order_relaxed);
+    if (swept > 0) {
+      log::info(kLogComponent, "expiry sweep removed {} record(s)", swept);
+    }
+    sweep_in_flight_.store(false);
+  });
+  if (!queued) sweep_in_flight_.store(false);  // full queue: next period
+}
+
+void MyProxyServer::reload_tick() {
+  const std::uint64_t generation =
+      g_reload_generation.load(std::memory_order_relaxed);
+  if (generation == seen_reload_generation_) return;
+  const bool queued = pool_->try_submit([this] {
     try {
       const Config config = Config::load(config_.config_file);
       reload_limits(admission_limits_from_config(config));
@@ -376,8 +372,8 @@ void MyProxyServer::reload_loop() {
       log::warn(kLogComponent, "SIGHUP reload of '{}' failed: {}",
                 config_.config_file.string(), e.what());
     }
-    lock.lock();
-  }
+  });
+  if (queued) seen_reload_generation_ = generation;  // else: next tick
 }
 
 bool MyProxyServer::reserve_connection_slot() {

@@ -8,20 +8,19 @@
 // Repository. An `authorized_renewers` ACL gates the §6.6 renewal path.
 //
 // Threading: the Reactor's epoll loops own connection I/O up to the first
-// request; a bounded ThreadPool runs authentication and the command core
-// (the repository is a shared production service, §3.3). The same core
+// request, the /metrics scrape and the housekeeping timers; a bounded
+// ThreadPool runs authentication, the command core and the timers' blocking
+// work (the repository is a shared production service, §3.3). The same core
 // serves the native protocol and its §6.4 HTTP binding (http_binding.hpp),
 // chosen per connection from the first message.
 #pragma once
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -314,7 +313,7 @@ class MyProxyServer {
 
   /// Port of the /metrics endpoint (0 unless metrics_enabled and started).
   [[nodiscard]] std::uint16_t metrics_port() const {
-    return metrics_ != nullptr ? metrics_->port() : 0;
+    return metrics_listener_.has_value() ? metrics_listener_->port() : 0;
   }
 
   /// Install (or replace) the cluster shard map at runtime. `self_port`
@@ -335,9 +334,10 @@ class MyProxyServer {
   [[nodiscard]] std::string render_metrics() const;
 
  private:
-  /// SIGHUP hot-reload poll loop: re-reads config_file when the signal
-  /// handler bumps the reload generation, then applies the admission keys.
-  void reload_loop();
+  /// Loop-0 timers. Each hands its blocking work to the pool: at most one
+  /// expiry sweep in flight, and a config_file re-read per SIGHUP.
+  void sweep_tick();
+  void reload_tick();
 
   /// Numeric STATS(10) fields in exposition order — the single source both
   /// handle_stats and render_metrics enumerate, so the admin dump and the
@@ -480,17 +480,14 @@ class MyProxyServer {
 
   std::unique_ptr<Reactor> reactor_;
   AdmissionController admission_;
-  std::unique_ptr<MetricsEndpoint> metrics_;
   std::optional<net::TcpListener> listener_;
+  std::optional<net::TcpListener> metrics_listener_;
   std::uint16_t port_ = 0;
-  std::thread sweep_thread_;
-  std::thread reload_thread_;
-  std::uint64_t seen_reload_generation_ = 0;
+  std::uint64_t seen_reload_generation_ = 0;  ///< loop 0 only
+  std::atomic<bool> sweep_in_flight_{false};
   std::unique_ptr<ThreadPool> pool_;
   std::atomic<std::size_t> in_flight_{0};
   std::atomic<bool> stopping_{false};
-  std::condition_variable stop_cv_;
-  std::mutex stop_mutex_;
 
   ServerStats stats_;
   AuditLog audit_;

@@ -3,6 +3,7 @@
 #include "common/error.hpp"
 #include "common/logging.hpp"
 #include "net/socket.hpp"
+#include "portal/http.hpp"
 #include "protocol/message.hpp"
 #include "server/myproxy_server.hpp"
 
@@ -11,6 +12,44 @@ namespace myproxy::server {
 namespace {
 
 constexpr std::string_view kLogComponent = "reactor";
+
+/// Whole-connection budget for one /metrics scrape, accept to last byte
+/// written: a scraper that dribbles its request or stops reading is closed.
+constexpr Millis kScrapeDeadline{2000};
+
+/// A scrape is a GET with no body, so the request ends at the header
+/// terminator; a longer head is dropped.
+constexpr std::size_t kMaxScrapeRequest = 8192;
+
+/// The serialized HTTP answer to one complete scrape request head.
+std::string scrape_response(std::string_view raw,
+                            const MyProxyServer& server) {
+  portal::HttpResponse response;
+  try {
+    const portal::HttpRequest request = portal::parse_request(raw);
+    const std::string_view target(request.target);
+    const bool is_metrics =
+        target == "/metrics" || target.substr(0, 9) == "/metrics?";
+    if (request.method != "GET") {
+      response = portal::HttpResponse::error(405, "Method Not Allowed",
+                                             "GET only\n");
+    } else if (!is_metrics) {
+      response =
+          portal::HttpResponse::error(404, "Not Found", "try /metrics\n");
+    } else {
+      response.status = 200;
+      response.reason = "OK";
+      response.headers["content-type"] =
+          "text/plain; version=0.0.4; charset=utf-8";
+      response.body = server.render_metrics();
+    }
+  } catch (const Error&) {
+    response = portal::HttpResponse::error(400, "Bad Request",
+                                           "malformed request\n");
+  }
+  response.headers["connection"] = "close";
+  return response.serialize();
+}
 
 }  // namespace
 
@@ -40,9 +79,18 @@ struct Reactor::Connection {
   }
 };
 
+struct Reactor::Scrape {
+  net::Socket socket;
+  std::string request;
+  std::string response;  ///< set once the request head is complete
+  std::size_t written = 0;
+  net::EventLoop::TimerId deadline_timer = 0;
+};
+
 Reactor::Reactor(MyProxyServer& server, net::TcpListener& listener,
-                 std::size_t threads)
-    : server_(server), listener_(listener) {
+                 net::TcpListener* metrics_listener, std::size_t threads)
+    : server_(server), listener_(listener),
+      metrics_listener_(metrics_listener) {
   const std::size_t count = threads == 0 ? 1 : threads;
   for (std::size_t i = 0; i < count; ++i) {
     loops_.push_back(std::make_unique<net::EventLoop>());
@@ -51,10 +99,23 @@ Reactor::Reactor(MyProxyServer& server, net::TcpListener& listener,
 
 Reactor::~Reactor() { stop(); }
 
+void Reactor::every(Millis period, std::function<void()> tick) {
+  // Loop 0 re-arms from inside the fired callback, on its own thread.
+  loops_[0]->add_timer(period, [this, period, tick = std::move(tick)] {
+    tick();
+    every(period, tick);
+  });
+}
+
 void Reactor::start() {
   listener_.set_nonblocking(true);
   loops_[0]->add_fd(listener_.fd(), net::EventLoop::kRead,
                     [this](std::uint32_t) { on_accept_ready(); });
+  if (metrics_listener_ != nullptr) {
+    metrics_listener_->set_nonblocking(true);
+    loops_[0]->add_fd(metrics_listener_->fd(), net::EventLoop::kRead,
+                      [this](std::uint32_t) { on_scrape_accept_ready(); });
+  }
   for (auto& loop : loops_) {
     threads_.emplace_back([raw = loop.get()] { raw->run(); });
   }
@@ -232,6 +293,62 @@ void Reactor::hand_off(const std::shared_ptr<Connection>& conn) {
     }
     channel->close();
   }
+}
+
+void Reactor::on_scrape_accept_ready() {
+  auto& loop = *loops_[0];
+  try {
+    while (auto socket = metrics_listener_->try_accept()) {
+      auto scrape = std::make_shared<Scrape>();
+      scrape->socket = std::move(*socket);
+      scrape->socket.set_nonblocking(true);
+      loop.add_fd(scrape->socket.fd(), net::EventLoop::kRead,
+                  [this, scrape](std::uint32_t) { advance_scrape(scrape); });
+      scrape->deadline_timer = loop.add_timer(kScrapeDeadline, [this, scrape] {
+        log::warn(kLogComponent, "scrape timed out: deadline expired");
+        end_scrape(scrape);
+      });
+    }
+  } catch (const std::exception& e) {
+    // Level-triggered readiness brings any still-pending scrapers back.
+    log::warn(kLogComponent, "scrape accept failed: {}", e.what());
+  }
+}
+
+void Reactor::advance_scrape(const std::shared_ptr<Scrape>& scrape) {
+  try {
+    while (scrape->response.empty()) {
+      const auto chunk = scrape->socket.try_read_some(1024);
+      if (!chunk.has_value()) return;  // wait for more of the head
+      if (chunk->empty()) throw IoError("scraper closed mid-request");
+      scrape->request += *chunk;
+      if (scrape->request.find("\r\n\r\n") != std::string::npos) {
+        scrape->response = scrape_response(scrape->request, server_);
+        loops_[0]->mod_fd(scrape->socket.fd(), net::EventLoop::kWrite);
+      } else if (scrape->request.size() > kMaxScrapeRequest) {
+        throw ProtocolError("oversized metrics request");
+      }
+    }
+    const std::string_view response(scrape->response);
+    while (scrape->written < response.size()) {
+      const std::size_t n =
+          scrape->socket.try_write(response.substr(scrape->written));
+      if (n == 0) return;  // send buffer full: wait for writability
+      scrape->written += n;
+    }
+    scrape->socket.shutdown_send();
+  } catch (const std::exception& e) {
+    // A broken or hostile scraper costs only its own connection.
+    log::warn(kLogComponent, "scrape failed: {}", e.what());
+  }
+  end_scrape(scrape);
+}
+
+void Reactor::end_scrape(const std::shared_ptr<Scrape>& scrape) {
+  // The socket closes with the last reference, once the loop drops the
+  // callbacks that hold it.
+  loops_[0]->del_fd(scrape->socket.fd());
+  loops_[0]->cancel_timer(scrape->deadline_timer);
 }
 
 }  // namespace myproxy::server

@@ -18,10 +18,15 @@
 // handshake_timeout budget covers accept → handshake completion, and the
 // request_timeout budget covers reading the request. A fired timer closes
 // the connection and counts a ServerStats timeout.
+//
+// Loop 0 also runs the server's housekeeping: the plaintext /metrics scrape
+// (read the request head, render, write, close, all under one deadline)
+// and the periodic timers registered with every().
 #pragma once
 
 #include <atomic>
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <string_view>
 #include <thread>
@@ -39,13 +44,18 @@ class MyProxyServer;
 class Reactor {
  public:
   /// `threads` event loops; loop 0 additionally owns the (non-blocking)
-  /// listener. The listener and server must outlive the reactor.
+  /// listener and, when non-null, the /metrics listener. The listeners and
+  /// server must outlive the reactor.
   Reactor(MyProxyServer& server, net::TcpListener& listener,
-          std::size_t threads);
+          net::TcpListener* metrics_listener, std::size_t threads);
   ~Reactor();
 
   Reactor(const Reactor&) = delete;
   Reactor& operator=(const Reactor&) = delete;
+
+  /// Run `tick` on loop 0 every `period`, the first time `period` after
+  /// this call. Call before start(); a tick must not block the loop.
+  void every(Millis period, std::function<void()> tick);
 
   void start();
   void stop();
@@ -53,6 +63,8 @@ class Reactor {
  private:
   /// Per-connection state machine: handshake → read request → hand off.
   struct Connection;
+  /// One /metrics scrape on loop 0: read head → write response → close.
+  struct Scrape;
 
   void on_accept_ready();
   void begin_connection(std::size_t loop_index, net::Socket socket);
@@ -73,8 +85,13 @@ class Reactor {
 
   void hand_off(const std::shared_ptr<Connection>& conn);
 
+  void on_scrape_accept_ready();
+  void advance_scrape(const std::shared_ptr<Scrape>& scrape);
+  void end_scrape(const std::shared_ptr<Scrape>& scrape);
+
   MyProxyServer& server_;
   net::TcpListener& listener_;
+  net::TcpListener* metrics_listener_;
   std::vector<std::unique_ptr<net::EventLoop>> loops_;
   std::vector<std::thread> threads_;
   std::size_t next_loop_ = 0;

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
 
 namespace myproxy::log {
 namespace {
@@ -60,6 +63,32 @@ TEST(Logging, WarningCounterAdvances) {
   warn("test", "one");
   error("test", "two");
   EXPECT_EQ(Logger::instance().warning_count(), before + 2);
+}
+
+TEST(Logging, LevelChangesRaceWithLogging) {
+  // The level is read without the logger's lock; flipping it while other
+  // threads log must neither race (TSan) nor tear a line, and every line
+  // that made it out was counted.
+  CapturedLog capture;
+  const auto before = Logger::instance().warning_count();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([] {
+      for (int i = 0; i < 500; ++i) {
+        Logger::instance().set_level(i % 2 == 0 ? Level::kDebug : Level::kOff);
+      }
+    });
+    threads.emplace_back([] {
+      for (int i = 0; i < 500; ++i) warn("race", "line {}", i);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  std::istringstream lines(capture.text());
+  std::uint64_t written = 0;
+  for (std::string line; std::getline(lines, line); ++written) {
+    EXPECT_NE(line.find(" WARN [race] line "), std::string::npos) << line;
+  }
+  EXPECT_EQ(Logger::instance().warning_count() - before, written);
 }
 
 TEST(Logging, FormatEdgeCases) {

@@ -65,9 +65,7 @@ RetryPolicy no_retry() {
 
 // --- Greedy vs polite ----------------------------------------------------------
 
-class AdmissionIoTest : public ::testing::TestWithParam<server::IoModel> {};
-
-TEST_P(AdmissionIoTest, GreedyFloodIsShedWhilePoliteClientsSucceed) {
+TEST(AdmissionIoTest, GreedyFloodIsShedWhilePoliteClientsSucceed) {
   auto repo = make_repo();
   server::ServerConfig config = base_config();
   // Small per-identity budget: polite clients pace themselves well under
@@ -138,13 +136,6 @@ TEST_P(AdmissionIoTest, GreedyFloodIsShedWhilePoliteClientsSucceed) {
             static_cast<std::uint64_t>(greedy_shed.load()));
   server.stop();
 }
-
-// The reactor is the only front end; the instantiation keeps its name.
-INSTANTIATE_TEST_SUITE_P(IoModels, AdmissionIoTest,
-                         ::testing::Values(server::IoModel::kReactor),
-                         [](const auto& info) {
-                           return std::string(server::to_string(info.param));
-                         });
 
 // --- RetryPolicy honors the hint ---------------------------------------------
 
@@ -267,7 +258,7 @@ TEST(AdmissionReload, SighupTightensLimitsWithoutDroppingSessions) {
   EXPECT_EQ(client.get("admission-reload-alice", kPhrase).identity(),
             user.identity());
 
-  // Tighten on disk, then poke the running server. The reload thread polls
+  // Tighten on disk, then poke the running server. A loop-0 timer polls
   // the signal generation every 100 ms.
   std::ofstream(config_path) << "rate_limit_rps 2\n"
                              << "rate_limit_burst 1\n";

@@ -270,10 +270,7 @@ TEST(ConnectionCap, ExcessConnectionsAreShedWithBusyResponse) {
   server.stop();
 }
 
-class ConnectionCapBurst
-    : public ::testing::TestWithParam<server::IoModel> {};
-
-TEST_P(ConnectionCapBurst, SimultaneousConnectsNeverExceedTheCap) {
+TEST(ConnectionCapBurst, SimultaneousConnectsNeverExceedTheCap) {
   repository::RepositoryPolicy policy;
   policy.kdf_iterations = 100;
   auto repo = std::make_shared<repository::Repository>(
@@ -284,7 +281,6 @@ TEST_P(ConnectionCapBurst, SimultaneousConnectsNeverExceedTheCap) {
   config.worker_threads = 2;
   config.max_connections = 4;
   config.handshake_timeout = Millis(500);
-  config.io_model = GetParam();
   server::MyProxyServer server(make_host("fi-burst-myproxy"),
                                make_trust_store(), repo, config);
   server.start();
@@ -315,13 +311,6 @@ TEST_P(ConnectionCapBurst, SimultaneousConnectsNeverExceedTheCap) {
   EXPECT_GE(server.stats().shed_connections.load(), 1u);
   server.stop();
 }
-
-// The reactor is the only front end; the instantiation keeps its name.
-INSTANTIATE_TEST_SUITE_P(
-    IoModels, ConnectionCapBurst, ::testing::Values(server::IoModel::kReactor),
-    [](const ::testing::TestParamInfo<server::IoModel>& info) {
-      return std::string(server::to_string(info.param));
-    });
 
 TEST(ClientRetry, SucceedsAfterServerComesBack) {
   const auto host = make_host("fi-retry-myproxy");

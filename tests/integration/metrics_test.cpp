@@ -1,11 +1,15 @@
 // The /metrics scrape: Prometheus text exposition of every STATS counter
-// plus per-op latency histograms, served over plaintext loopback HTTP on
-// both io models. The scrape and STATS(10) read the same snapshot, so they
-// can never disagree beyond concurrent motion; the endpoint refuses a
-// non-loopback bind unless explicitly opted in.
+// plus per-op latency histograms, served over plaintext loopback HTTP by
+// the reactor's loop 0. The scrape and STATS(10) read the same snapshot, so
+// they can never disagree beyond concurrent motion; a dribbling scraper
+// holds only its own connection, for at most the scrape deadline; the
+// server refuses a non-loopback metrics bind unless explicitly opted in.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <map>
 #include <sstream>
 #include <string>
@@ -82,17 +86,20 @@ std::map<std::string, std::uint64_t> parse_samples(const std::string& body) {
   return out;
 }
 
-class MetricsTest : public ::testing::TestWithParam<server::IoModel> {
+std::shared_ptr<repository::Repository> make_repo() {
+  repository::RepositoryPolicy policy;
+  policy.kdf_iterations = 100;
+  return std::make_shared<repository::Repository>(
+      std::make_unique<repository::MemoryCredentialStore>(), policy);
+}
+
+class MetricsTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    repository::RepositoryPolicy policy;
-    policy.kdf_iterations = 100;
-    repo_ = std::make_shared<repository::Repository>(
-        std::make_unique<repository::MemoryCredentialStore>(), policy);
+    repo_ = make_repo();
     server::ServerConfig config;
     config.accepted_credentials.add("*");
     config.authorized_retrievers.add("*");
-    config.io_model = GetParam();
     config.metrics_enabled = true;
     config.metrics_port = 0;  // ephemeral
     server_ = std::make_unique<server::MyProxyServer>(
@@ -107,7 +114,7 @@ class MetricsTest : public ::testing::TestWithParam<server::IoModel> {
   std::unique_ptr<server::MyProxyServer> server_;
 };
 
-TEST_P(MetricsTest, ScrapeExportsCountersAndHistograms) {
+TEST_F(MetricsTest, ScrapeExportsCountersAndHistograms) {
   const auto alice = make_user("metrics-alice");
   const auto proxy = gsi::create_proxy(alice);
   MyProxyClient client(proxy, make_trust_store(), server_->port());
@@ -157,7 +164,7 @@ TEST_P(MetricsTest, ScrapeExportsCountersAndHistograms) {
   EXPECT_GE(2u, previous);  // below or equal to the +Inf total
 }
 
-TEST_P(MetricsTest, CountersAreMonotonicAcrossScrapes) {
+TEST_F(MetricsTest, CountersAreMonotonicAcrossScrapes) {
   const auto alice = make_user("metrics-mono-alice");
   const auto proxy = gsi::create_proxy(alice);
   MyProxyClient client(proxy, make_trust_store(), server_->port());
@@ -176,7 +183,7 @@ TEST_P(MetricsTest, CountersAreMonotonicAcrossScrapes) {
   EXPECT_EQ(second.at("myproxy_gets"), first.at("myproxy_gets") + 1);
 }
 
-TEST_P(MetricsTest, StatsCommandAgreesWithScrape) {
+TEST_F(MetricsTest, StatsCommandAgreesWithScrape) {
   const auto alice = make_user("metrics-stats-alice");
   const auto proxy = gsi::create_proxy(alice);
   MyProxyClient client(proxy, make_trust_store(), server_->port());
@@ -201,7 +208,7 @@ TEST_P(MetricsTest, StatsCommandAgreesWithScrape) {
   }
 }
 
-TEST_P(MetricsTest, ExportsPerIdentityAdmissionSeries) {
+TEST_F(MetricsTest, ExportsPerIdentityAdmissionSeries) {
   const auto alice = make_user("metrics-ident-alice");
   const auto proxy = gsi::create_proxy(alice);
   MyProxyClient client(proxy, make_trust_store(), server_->port());
@@ -224,7 +231,7 @@ TEST_P(MetricsTest, ExportsPerIdentityAdmissionSeries) {
   EXPECT_NE(body.find("myproxy_admission_identity_shed{"), std::string::npos);
 }
 
-TEST_P(MetricsTest, RejectsOtherTargetsAndMethods) {
+TEST_F(MetricsTest, RejectsOtherTargetsAndMethods) {
   EXPECT_NE(scrape(server_->metrics_port(), "/credentials")
                 .find("HTTP/1.1 404"),
             std::string::npos);
@@ -238,27 +245,74 @@ TEST_P(MetricsTest, RejectsOtherTargetsAndMethods) {
             std::string::npos);
 }
 
-// The reactor is the only front end; the instantiation keeps its name.
-INSTANTIATE_TEST_SUITE_P(IoModels, MetricsTest,
-                         ::testing::Values(server::IoModel::kReactor),
-                         [](const auto& info) {
-                           return std::string(server::to_string(info.param));
-                         });
+TEST_F(MetricsTest, DrippingScraperDoesNotBlockOtherScrapes) {
+  // One header byte every ~200 ms: the head would take seconds to arrive.
+  const std::string head =
+      "GET /metrics HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n";
+  net::Socket drip = net::tcp_connect(server_->metrics_port());
+  const auto accepted = std::chrono::steady_clock::now();
+  std::atomic<bool> done{false};
+  std::thread dripper([&] {
+    try {
+      for (std::size_t i = 0; i < head.size() && !done.load(); ++i) {
+        drip.write_all(head.substr(i, 1));
+        std::this_thread::sleep_for(Millis(200));
+      }
+    } catch (const IoError&) {
+      // The server closed the connection under the dripper.
+    }
+  });
+  std::this_thread::sleep_for(Millis(300));
+
+  const auto scrape_start = std::chrono::steady_clock::now();
+  std::string response;
+  try {
+    response = scrape(server_->metrics_port());
+  } catch (const IoError& e) {
+    ADD_FAILURE() << "second scrape failed: " << e.what();
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - scrape_start, Millis(500));
+  EXPECT_NE(response.find("HTTP/1.1 200"), std::string::npos);
+
+  // The whole-connection deadline closes the dripper: EOF or a reset, not
+  // a read that waits out its own timeout.
+  drip.set_read_timeout(Millis(4000));
+  try {
+    EXPECT_EQ(drip.read_some(1), "");
+  } catch (const IoTimeout&) {
+    ADD_FAILURE() << "the server never closed the dripping connection";
+  } catch (const IoError&) {
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - accepted, Millis(3000));
+  done.store(true);
+  dripper.join();
+}
 
 // --- Bind policy --------------------------------------------------------------
 
 TEST(MetricsBindPolicy, RefusesNonLoopbackWithoutOptIn) {
-  server::MetricsConfig config;
-  config.enabled = true;
-  config.port = 0;
-  config.bind_address = "0.0.0.0";
-  server::MetricsEndpoint endpoint(config, [] { return std::string(); });
-  EXPECT_THROW(endpoint.start(), ConfigError);
+  const auto thread_count = [] {
+    const std::filesystem::directory_iterator tasks("/proc/self/task");
+    return std::distance(begin(tasks), end(tasks));
+  };
+  server::ServerConfig config;
+  config.metrics_enabled = true;
+  config.metrics_port = 0;
+  config.metrics_bind_address = "0.0.0.0";
+  const auto threads_before = thread_count();
+  server::MyProxyServer refused(make_host("metrics-bind-myproxy"),
+                                make_trust_store(), make_repo(), config);
+  EXPECT_THROW(refused.start(), ConfigError);
+  // Refused before anything started: no listener, no thread.
+  EXPECT_EQ(refused.port(), 0);
+  EXPECT_EQ(refused.metrics_port(), 0);
+  EXPECT_EQ(thread_count(), threads_before);
 
-  config.bind_any = true;
-  server::MetricsEndpoint opted_in(config, [] { return std::string("x 1\n"); });
+  config.metrics_bind_any = true;
+  server::MyProxyServer opted_in(make_host("metrics-bind-any-myproxy"),
+                                 make_trust_store(), make_repo(), config);
   opted_in.start();
-  EXPECT_NE(opted_in.port(), 0);
+  EXPECT_NE(opted_in.metrics_port(), 0);
   opted_in.stop();
 }
 

@@ -1,15 +1,18 @@
 // Regression tests for the shutdown path: stop() must complete promptly
-// even while the background sweep thread sits in a long wait_for — the
-// notify must not be lost between the sweeper's predicate check and its
-// park (the lost-wakeup race fixed by notifying under stop_mutex_).
+// while the expiry sweep's loop timer is armed for a long period, and while
+// a scraper holds a /metrics connection mid-request. Both live on the
+// reactor's loop 0, which stop() wakes and joins.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <thread>
 
+#include "common/error.hpp"
 #include "gsi/gsi_fixtures.hpp"
 #include "gsi/proxy.hpp"
+#include "net/socket.hpp"
 #include "server/myproxy_server.hpp"
 
 namespace myproxy {
@@ -28,7 +31,8 @@ gsi::Credential make_host(const std::string& cn) {
   return gsi::Credential(std::move(cert), std::move(key));
 }
 
-std::unique_ptr<server::MyProxyServer> make_server(Seconds sweep_interval) {
+std::unique_ptr<server::MyProxyServer> make_server(Seconds sweep_interval,
+                                                   bool metrics = false) {
   repository::RepositoryPolicy policy;
   policy.kdf_iterations = 100;
   auto repo = std::make_shared<repository::Repository>(
@@ -37,6 +41,7 @@ std::unique_ptr<server::MyProxyServer> make_server(Seconds sweep_interval) {
   config.accepted_credentials.add("*");
   config.authorized_retrievers.add("*");
   config.sweep_interval = sweep_interval;
+  config.metrics_enabled = metrics;
   return std::make_unique<server::MyProxyServer>(
       make_host("shutdown-myproxy"), make_trust_store(), repo, config);
 }
@@ -51,7 +56,7 @@ milliseconds timed_stop(server::MyProxyServer& server) {
 TEST(ServerShutdown, StopIsFastWhileSweeperIsMidWait) {
   auto server = make_server(/*sweep_interval=*/Seconds(60));
   server->start();
-  // Let the sweep thread reach its 60s wait before stopping.
+  // Let the 60s sweep timer sit armed on loop 0 before stopping.
   std::this_thread::sleep_for(milliseconds(100));
   EXPECT_LT(timed_stop(*server), milliseconds(1000));
 }
@@ -71,6 +76,29 @@ TEST(ServerShutdown, StopIsIdempotent) {
   server->start();
   server->stop();
   EXPECT_LT(timed_stop(*server), milliseconds(100));  // second stop: no-op
+}
+
+TEST(ServerShutdown, StopIsFastWhileScraperDrips) {
+  auto server = make_server(/*sweep_interval=*/Seconds(60), /*metrics=*/true);
+  server->start();
+  // One byte of a scrape request every 200 ms for 3 s, never reaching the
+  // end of the request head.
+  net::Socket drip = net::tcp_connect(server->metrics_port());
+  std::atomic<bool> done{false};
+  std::thread dripper([&] {
+    try {
+      for (int i = 0; i < 15 && !done.load(); ++i) {
+        drip.write_all("G");
+        std::this_thread::sleep_for(milliseconds(200));
+      }
+    } catch (const IoError&) {
+      // The server closed the connection on its way down.
+    }
+  });
+  std::this_thread::sleep_for(milliseconds(500));
+  EXPECT_LT(timed_stop(*server), milliseconds(1000));
+  done.store(true);
+  dripper.join();
 }
 
 }  // namespace

@@ -285,8 +285,8 @@ void serve(const tools::Args& args) {
 
   std::signal(SIGINT, handle_signal);
   std::signal(SIGTERM, handle_signal);
-  // Expiry cleanup runs on the server's background sweep thread
-  // (sweep_interval_s); this loop only waits for a shutdown signal.
+  // Expiry cleanup runs on a server loop timer (sweep_interval_s); this
+  // loop only waits for a shutdown signal.
   while (g_stop == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
   }
