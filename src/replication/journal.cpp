@@ -6,6 +6,7 @@
 #include <charconv>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "common/encoding.hpp"
 #include "common/error.hpp"
@@ -83,6 +84,27 @@ std::string_view to_string(OpType type) noexcept {
   return "?";
 }
 
+namespace {
+
+/// (username, credential name) of a kRemove payload, make_key(username,
+/// name): the '\x1e' separator is a control byte no username or slot name
+/// can contain.
+std::pair<std::string_view, std::string_view> remove_key(
+    std::string_view payload) {
+  const auto sep = payload.find('\x1e');
+  if (sep == std::string_view::npos) {
+    throw ParseError("journal remove entry missing key separator");
+  }
+  return {payload.substr(0, sep), payload.substr(sep + 1)};
+}
+
+ParseError unknown_type(OpType type) {
+  return ParseError(
+      fmt::format("unknown journal op type {}", static_cast<int>(type)));
+}
+
+}  // namespace
+
 void apply_entry(repository::CredentialStore& store,
                  const JournalEntry& entry) {
   switch (entry.type) {
@@ -90,22 +112,47 @@ void apply_entry(repository::CredentialStore& store,
       store.put(repository::CredentialRecord::parse(entry.payload));
       return;
     case OpType::kRemove: {
-      // Payload is make_key(username, name): the '\x1e' separator is a
-      // control byte no username or slot name can contain.
-      const auto sep = entry.payload.find('\x1e');
-      if (sep == std::string::npos) {
-        throw ParseError("journal remove entry missing key separator");
-      }
-      store.remove(std::string_view(entry.payload).substr(0, sep),
-                   std::string_view(entry.payload).substr(sep + 1));
+      const auto [username, name] = remove_key(entry.payload);
+      store.remove(username, name);
       return;
     }
     case OpType::kRemoveAll:
       store.remove_all(entry.payload);
       return;
   }
-  throw ParseError(fmt::format("unknown journal op type {}",
-                               static_cast<int>(entry.type)));
+  throw unknown_type(entry.type);
+}
+
+std::string entry_username(const JournalEntry& entry) {
+  switch (entry.type) {
+    case OpType::kPut:
+      return repository::CredentialRecord::parse(entry.payload).username;
+    case OpType::kRemove:
+      return std::string(remove_key(entry.payload).first);
+    case OpType::kRemoveAll:
+      return entry.payload;
+  }
+  throw unknown_type(entry.type);
+}
+
+std::string write_sequence_file(const std::filesystem::path& path,
+                                std::uint64_t sequence) {
+  const std::filesystem::path tmp = path.string() + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    out << sequence << '\n';
+    if (!out) return fmt::format("cannot write '{}'", tmp.string());
+  }
+  std::error_code ec;
+  std::filesystem::rename(tmp, path, ec);
+  return ec ? ec.message() : std::string();
+}
+
+std::uint64_t read_sequence_file(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::uint64_t sequence = 0;
+  in >> sequence;
+  return in.fail() ? 0 : sequence;
 }
 
 ReplicationJournal::ReplicationJournal(std::filesystem::path path,

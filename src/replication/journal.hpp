@@ -52,8 +52,25 @@ struct JournalEntry {
 
 /// Apply one journal entry to a store (idempotent: re-applying a suffix of
 /// the journal after a crash converges to the same state). Shared by the
-/// primary's recovery replay and the replica's tail loop.
+/// primary's recovery replay, the replica's tail loop and the receiving end
+/// of a store copy. Throws ParseError on a malformed payload.
 void apply_entry(repository::CredentialStore& store, const JournalEntry& entry);
+
+/// Username a journal entry touches, decoded from its payload the same way
+/// apply_entry reads it (the shipper filters a shard's entries by it).
+/// Throws ParseError on a malformed payload.
+[[nodiscard]] std::string entry_username(const JournalEntry& entry);
+
+/// Replace the file at `path` with `sequence` (temp file + rename, never
+/// fsynced). Returns why that failed; empty on success. The primary's
+/// watermark and the replica's state file both use it.
+std::string write_sequence_file(const std::filesystem::path& path,
+                                std::uint64_t sequence);
+
+/// The sequence write_sequence_file stored at `path`; 0 when it is
+/// missing or unreadable.
+[[nodiscard]] std::uint64_t read_sequence_file(
+    const std::filesystem::path& path);
 
 class ReplicationJournal {
  public:

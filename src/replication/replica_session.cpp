@@ -1,34 +1,18 @@
 #include "replication/replica_session.hpp"
 
-#include <fstream>
-
 #include "common/error.hpp"
 #include "common/format.hpp"
 #include "common/logging.hpp"
 #include "common/strings.hpp"
 #include "net/socket.hpp"
 #include "protocol/message.hpp"
+#include "replication/shipper.hpp"
 
 namespace myproxy::replication {
 
 namespace {
 
 constexpr std::string_view kLogComponent = "replication";
-
-std::uint64_t field_u64(const protocol::Response& response,
-                        const std::string& key) {
-  const auto it = response.fields.find(key);
-  if (it == response.fields.end()) {
-    throw ProtocolError(
-        fmt::format("replication response missing field '{}'", key));
-  }
-  const auto value = strings::parse_u64(it->second);
-  if (!value.has_value()) {
-    throw ProtocolError(fmt::format(
-        "replication field '{}' is not a number: '{}'", key, it->second));
-  }
-  return *value;
-}
 
 }  // namespace
 
@@ -42,8 +26,10 @@ ReplicaSession::ReplicaSession(gsi::Credential credential,
       store_(store),
       config_(std::move(config)),
       on_event_(std::move(on_event)) {
-  stats_.last_applied_sequence.store(load_state(),
-                                     std::memory_order_relaxed);
+  if (!config_.state_file.empty()) {
+    stats_.last_applied_sequence.store(
+        read_sequence_file(config_.state_file), std::memory_order_relaxed);
+  }
 }
 
 ReplicaSession::~ReplicaSession() { stop(); }
@@ -134,8 +120,14 @@ void ReplicaSession::sync_once() {
     throw ProtocolError("replica sync response missing MODE");
   }
   if (mode->second == "snapshot") {
-    install_snapshot(*channel, field_u64(response, "SNAPSHOT_COUNT"),
-                     field_u64(response, "SNAPSHOT_SEQ"));
+    const auto seq = response.fields.find("SNAPSHOT_SEQ");
+    const auto snapshot_seq = seq == response.fields.end()
+                                  ? std::nullopt
+                                  : strings::parse_u64(seq->second);
+    if (!snapshot_seq.has_value()) {
+      throw ProtocolError("snapshot response without a valid SNAPSHOT_SEQ");
+    }
+    install_snapshot(*channel, *snapshot_seq);
   } else if (mode->second != "tail") {
     throw ProtocolError(
         fmt::format("unknown replica sync mode '{}'", mode->second));
@@ -164,7 +156,6 @@ void ReplicaSession::sync_once() {
       applied = entry.sequence;
       ++fresh;
     }
-    stats_.batches_received.fetch_add(1, std::memory_order_relaxed);
     stats_.ops_applied.fetch_add(fresh, std::memory_order_relaxed);
     {
       const std::scoped_lock lock(mutex_);
@@ -182,23 +173,25 @@ void ReplicaSession::sync_once() {
   channel->close();
 }
 
-void ReplicaSession::install_snapshot(tls::TlsChannel& channel,
-                                      std::uint64_t count,
+void ReplicaSession::install_snapshot(net::Channel& channel,
                                       std::uint64_t snapshot_sequence) {
   // Wipe whatever partial or stale state this store holds: the snapshot is
   // authoritative, and a record deleted on the primary must not survive
-  // here. The state file is untouched until the install completes, so a
-  // crash anywhere in this function re-runs the full bootstrap.
+  // here. The state file is untouched until the copy's end frame arrives
+  // and agrees, so a crash or a protocol error anywhere in this function
+  // re-runs the full bootstrap.
   for (const auto& username : store_.usernames()) {
     store_.remove_all(username);
   }
-  for (std::uint64_t i = 0; i < count; ++i) {
-    store_.put(repository::CredentialRecord::parse(channel.receive()));
+  const CopyEnd end = receive_shipment(channel, store_);
+  if (end.sequence != snapshot_sequence) {
+    throw ProtocolError(fmt::format(
+        "snapshot announced sequence {} but its copy ended at {}",
+        snapshot_sequence, end.sequence));
   }
   // Counters first: anyone woken by the sequence advancing below must
   // already see this bootstrap reflected in the stats.
   stats_.snapshots_installed.fetch_add(1, std::memory_order_relaxed);
-  stats_.snapshot_records.fetch_add(count, std::memory_order_relaxed);
   {
     const std::scoped_lock lock(mutex_);
     stats_.last_applied_sequence.store(snapshot_sequence,
@@ -207,35 +200,20 @@ void ReplicaSession::install_snapshot(tls::TlsChannel& channel,
   cv_.notify_all();
   persist_state(snapshot_sequence);
   emit("snapshot-installed",
-       fmt::format("{} record(s), sequence {}", count, snapshot_sequence));
+       fmt::format("{} record(s), sequence {}", end.entries,
+                   snapshot_sequence));
   log::info(kLogComponent,
-            "installed snapshot: {} record(s) through sequence {}", count,
-            snapshot_sequence);
+            "installed snapshot: {} record(s) through sequence {}",
+            end.entries, snapshot_sequence);
 }
 
 void ReplicaSession::persist_state(std::uint64_t sequence) {
   if (config_.state_file.empty()) return;
-  const std::filesystem::path tmp = config_.state_file.string() + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    out << sequence << '\n';
-    if (!out) {
-      log::warn(kLogComponent, "cannot persist replica state to '{}'",
-                tmp.string());
-      return;
-    }
+  const std::string error = write_sequence_file(config_.state_file, sequence);
+  if (!error.empty()) {
+    log::warn(kLogComponent, "cannot persist replica state to '{}': {}",
+              config_.state_file.string(), error);
   }
-  std::error_code ec;
-  std::filesystem::rename(tmp, config_.state_file, ec);
-}
-
-std::uint64_t ReplicaSession::load_state() const {
-  if (config_.state_file.empty()) return 0;
-  std::ifstream in(config_.state_file, std::ios::binary);
-  if (!in) return 0;
-  std::uint64_t sequence = 0;
-  in >> sequence;
-  return in.fail() ? 0 : sequence;
 }
 
 }  // namespace myproxy::replication

@@ -3,10 +3,10 @@
 // Runs inside a myproxy-server configured with replication_role=replica: a
 // background thread connects to the primary over mutually authenticated
 // TLS (the replica's host credential must be on the primary's replica_acl),
-// bootstraps via a streamed store snapshot when it has no usable offset,
-// then tails the primary's journal, applying batched entries to the local
-// store and acking applied offsets. The local server meanwhile serves
-// read-only traffic from the same store.
+// bootstraps from a copy of the primary's store (replication/shipper.hpp)
+// when it has no usable offset, then tails the primary's journal, applying
+// batched entries to the local store and acking applied offsets. The local
+// server meanwhile serves read-only traffic from the same store.
 //
 // Crash consistency: the last-applied sequence is persisted to a state
 // file *after* the snapshot is fully installed (and after each applied
@@ -55,8 +55,6 @@ struct ReplicaConfig {
 /// Counters mirrored into the STATS command by the server.
 struct ReplicaStats {
   std::atomic<std::uint64_t> snapshots_installed{0};
-  std::atomic<std::uint64_t> snapshot_records{0};
-  std::atomic<std::uint64_t> batches_received{0};
   std::atomic<std::uint64_t> ops_applied{0};
   std::atomic<std::uint64_t> reconnects{0};
   std::atomic<std::uint64_t> last_applied_sequence{0};
@@ -99,10 +97,11 @@ class ReplicaSession {
   /// One connection lifetime: dial, sync (snapshot or tail), stream until
   /// error or stop. Throws on transport/protocol failure.
   void sync_once();
-  void install_snapshot(tls::TlsChannel& channel, std::uint64_t count,
+  /// Wipe the store, apply the primary's store copy, then adopt
+  /// `snapshot_sequence` and persist it.
+  void install_snapshot(net::Channel& channel,
                         std::uint64_t snapshot_sequence);
   void persist_state(std::uint64_t sequence);
-  [[nodiscard]] std::uint64_t load_state() const;
   void emit(std::string_view event, std::string_view detail);
   /// Interruptible sleep; returns false when stop() was requested.
   [[nodiscard]] bool sleep_for(Millis duration);

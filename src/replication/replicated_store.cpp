@@ -1,7 +1,5 @@
 #include "replication/replicated_store.hpp"
 
-#include <fstream>
-
 #include "common/error.hpp"
 #include "common/format.hpp"
 #include "common/logging.hpp"
@@ -37,7 +35,8 @@ ReplicatedStore::ReplicatedStore(
   // Crash recovery: re-apply every journaled operation the store is not
   // known to contain. apply order = journal order, ending at the tip, so a
   // replayed prefix of stale operations converges onto the current state.
-  const std::uint64_t watermark = read_watermark();
+  const std::uint64_t watermark =
+      watermark_path_.empty() ? 0 : read_sequence_file(watermark_path_);
   for (const auto& entry :
        journal_->entries_after(watermark, static_cast<std::size_t>(-1))) {
     apply_entry(*inner_, entry);
@@ -102,24 +101,10 @@ void ReplicatedStore::note_applied(std::uint64_t sequence) {
 }
 
 void ReplicatedStore::write_watermark(std::uint64_t sequence) {
-  if (watermark_path_.empty()) return;
-  const std::filesystem::path tmp = watermark_path_.string() + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    out << sequence << '\n';
-    if (!out) return;  // best effort: worst case is a longer replay
+  // Best effort: the worst case is a longer replay.
+  if (!watermark_path_.empty()) {
+    (void)write_sequence_file(watermark_path_, sequence);
   }
-  std::error_code ec;
-  std::filesystem::rename(tmp, watermark_path_, ec);
-}
-
-std::uint64_t ReplicatedStore::read_watermark() const {
-  if (watermark_path_.empty()) return 0;
-  std::ifstream in(watermark_path_, std::ios::binary);
-  if (!in) return 0;
-  std::uint64_t sequence = 0;
-  in >> sequence;
-  return in.fail() ? 0 : sequence;
 }
 
 void ReplicatedStore::put(const repository::CredentialRecord& record) {

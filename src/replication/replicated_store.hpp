@@ -76,7 +76,6 @@ class ReplicatedStore final : public repository::CredentialStore {
   /// once every operation below it has been applied.
   void note_applied(std::uint64_t sequence);
   void write_watermark(std::uint64_t sequence);
-  [[nodiscard]] std::uint64_t read_watermark() const;
 
   std::unique_ptr<repository::CredentialStore> inner_;
   std::shared_ptr<ReplicationJournal> journal_;

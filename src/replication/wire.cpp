@@ -105,4 +105,16 @@ std::uint64_t decode_ack(std::string_view message) {
   return parse_u64(parts[1], "ack sequence");
 }
 
+std::string encode_copy_end(const CopyEnd& end) {
+  return fmt::format("COPY_END {} {}\n", end.sequence, end.entries);
+}
+
+std::optional<CopyEnd> decode_copy_end(std::string_view message) {
+  if (!message.starts_with("COPY_END ")) return std::nullopt;
+  const auto parts = strings::split(strings::trim(message), ' ');
+  if (parts.size() != 3) throw ProtocolError("bad replication copy end");
+  return CopyEnd{parse_u64(parts[1], "copy sequence"),
+                 parse_u64(parts[2], "copy entries")};
+}
+
 }  // namespace myproxy::replication

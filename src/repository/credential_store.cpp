@@ -195,6 +195,20 @@ std::int64_t record_i64(std::string_view key, std::string_view value) {
   return *parsed;
 }
 
+/// A record timestamp: whole seconds that a TimePoint can hold. Anything
+/// beyond overflows its nanosecond count, so it is a corrupt record too.
+TimePoint record_time(std::string_view key, std::string_view value) {
+  constexpr std::int64_t kMaxSeconds =
+      std::chrono::duration_cast<Seconds>(TimePoint::max().time_since_epoch())
+          .count();
+  const std::int64_t seconds = record_i64(key, value);
+  if (seconds > kMaxSeconds || seconds < -kMaxSeconds) {
+    throw ParseError(fmt::format(
+        "credential record field '{}' is out of range: '{}'", key, value));
+  }
+  return from_unix(seconds);
+}
+
 std::uint64_t record_u64(std::string_view key, std::string_view value) {
   const auto parsed = strings::parse_u64(value);
   if (!parsed.has_value()) {
@@ -238,9 +252,9 @@ CredentialRecord CredentialRecord::parse(std::string_view text) {
     } else if (key == "passphrase_digest") {
       record.passphrase_digest = std::string(value);
     } else if (key == "created_at") {
-      record.created_at = from_unix(record_i64(key, value));
+      record.created_at = record_time(key, value);
     } else if (key == "not_after") {
-      record.not_after = from_unix(record_i64(key, value));
+      record.not_after = record_time(key, value);
     } else if (key == "max_delegation_lifetime") {
       record.max_delegation_lifetime = Seconds(record_i64(key, value));
     } else if (key == "retriever") {

@@ -12,8 +12,7 @@
 #include "common/strings.hpp"
 #include "gsi/proxy.hpp"
 #include "repository/credential_store.hpp"
-#include "replication/journal.hpp"
-#include "replication/wire.hpp"
+#include "replication/shipper.hpp"
 #include "server/http_binding.hpp"
 #include "server/reactor.hpp"
 
@@ -603,19 +602,25 @@ std::optional<ErrorCode> MyProxyServer::dispatch(
 
   // Latency histogram charge covers dispatch through reply — success and
   // error paths alike — but never shed requests (they return above), so
-  // each op's bucket counts sum to the ops actually served.
+  // each op's bucket counts sum to the ops actually served. A stream
+  // (REPLICA_SYNC, MIGRATE_INSTALL) lasts as long as its peer stays
+  // connected; that lifetime is not an op latency, so it is not charged.
+  const bool stream = request.command == Command::kReplicaSync ||
+                      request.command == Command::kMigrateInstall;
   struct LatencyCharge {
-    LatencyHistogram& histogram;
+    LatencyHistogram* histogram;
     std::chrono::steady_clock::time_point start =
         std::chrono::steady_clock::now();
     ~LatencyCharge() {
-      histogram.record(static_cast<std::uint64_t>(
+      if (histogram == nullptr) return;
+      histogram->record(static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::microseconds>(
               std::chrono::steady_clock::now() - start)
               .count()));
     }
   } latency_charge{
-      stats_.op_latency[static_cast<std::size_t>(request.command)]};
+      stream ? nullptr
+             : &stats_.op_latency[static_cast<std::size_t>(request.command)]};
 
   try {
     switch (request.command) {
@@ -1100,7 +1105,7 @@ void MyProxyServer::handle_replica_sync(net::Channel& channel,
     throw AuthorizationError(
         fmt::format("'{}' is not in replica_acl", peer.identity.str()));
   }
-  auto& journal = *config_.journal;
+  const auto& journal = *config_.journal;
 
   stats_.repl_replicas_connected.fetch_add(1, std::memory_order_relaxed);
   struct Gauge {
@@ -1108,7 +1113,8 @@ void MyProxyServer::handle_replica_sync(net::Channel& channel,
     ~Gauge() { gauge.fetch_sub(1, std::memory_order_relaxed); }
   } gauge{stats_.repl_replicas_connected};
 
-  std::uint64_t replica_seq = request.sequence;
+  replication::Shipper shipper(journal, channel, config_.replication_batch);
+  const std::uint64_t replica_seq = request.sequence;
   // The journal can tail the replica only from an offset it still covers;
   // anything else — fresh replica, or an offset past/before the journal —
   // needs a full snapshot. (sequence == 0 always snapshots: the store may
@@ -1116,72 +1122,43 @@ void MyProxyServer::handle_replica_sync(net::Channel& channel,
   const bool need_snapshot = replica_seq == 0 ||
                              replica_seq + 1 < journal.first_sequence() ||
                              replica_seq > journal.last_sequence();
+  Response response;
+  std::string detail;
   if (need_snapshot) {
-    // Capture the sequence *before* reading the store: ReplicatedStore
-    // holds each username's stripe exclusively from journal append through
-    // store apply, and usernames()/list() take those stripes shared — so
-    // every operation with sequence <= snapshot_seq is visible to these
-    // reads. Concurrent newer operations may also leak in; the replica
-    // re-applies sequences above snapshot_seq, which converges.
-    const std::uint64_t snapshot_seq = journal.last_sequence();
-    std::vector<std::string> records;
-    const auto& store = repository_->store();
-    for (const auto& username : store.usernames()) {
-      for (const auto& record : store.list(username)) {
-        records.push_back(record.serialize());
-      }
-    }
-    Response response;
+    // The snapshot is the shipper's copy of the whole store, consistent as
+    // of the cursor it captured before reading the store.
     response.fields["MODE"] = "snapshot";
-    response.fields["SNAPSHOT_COUNT"] = std::to_string(records.size());
-    response.fields["SNAPSHOT_SEQ"] = std::to_string(snapshot_seq);
+    response.fields["SNAPSHOT_SEQ"] = std::to_string(shipper.cursor());
     channel.send(response.serialize());
-    for (const auto& text : records) channel.send(text);
-    replica_seq = snapshot_seq;
+    shipper.copy(repository_->store());
+    shipper.finish();
+    const std::uint64_t records = shipper.shipped();
     stats_.repl_snapshots_served.fetch_add(1, std::memory_order_relaxed);
-    stats_.repl_snapshot_records.fetch_add(records.size(),
+    stats_.repl_snapshot_records.fetch_add(records,
                                            std::memory_order_relaxed);
-    audit_.record({now(), "REPLICA_SYNC", peer.identity.str(), "",
-                   AuditOutcome::kSuccess,
-                   fmt::format("snapshot served: {} record(s) through "
-                               "sequence {}",
-                               records.size(), snapshot_seq)});
-    log::info(kLogComponent,
-              "served snapshot to replica '{}': {} record(s), sequence {}",
-              peer.identity.str(), records.size(), snapshot_seq);
+    detail = fmt::format("snapshot served: {} record(s) through sequence {}",
+                         records, shipper.cursor());
+    log::info(kLogComponent, "replica '{}': {}", peer.identity.str(), detail);
   } else {
-    Response response;
+    shipper.seek(replica_seq);
     response.fields["MODE"] = "tail";
     channel.send(response.serialize());
-    audit_.record({now(), "REPLICA_SYNC", peer.identity.str(), "",
-                   AuditOutcome::kSuccess,
-                   fmt::format("replica connected at sequence {}",
-                               replica_seq)});
+    detail = fmt::format("replica connected at sequence {}", replica_seq);
   }
+  audit_.record({now(), "REPLICA_SYNC", peer.identity.str(), "",
+                 AuditOutcome::kSuccess, detail});
 
-  // Stream loop: ship batches as the journal grows, empty heartbeats about
-  // once a second otherwise. The replica acks each message; a silent or
-  // dead replica trips the request deadline and ends the stream.
+  // Stream loop: the replica acks each batch; a silent or dead replica
+  // trips the request deadline and ends the stream.
   bool was_lagging = false;
   try {
-    while (!stopping_.load()) {
-      (void)journal.wait_for_entries(replica_seq, Millis(1000));
-      replication::Batch batch;
-      batch.entries =
-          journal.entries_after(replica_seq, config_.replication_batch);
-      batch.primary_last_sequence = journal.last_sequence();
-      channel.send(replication::encode_batch(batch));
-      const std::uint64_t acked =
-          replication::decode_ack(channel.receive());
-      replica_seq = std::max(replica_seq, acked);
+    shipper.follow(stopping_, [&](std::uint64_t acked, std::size_t entries) {
       stats_.repl_batches_shipped.fetch_add(1, std::memory_order_relaxed);
-      stats_.repl_ops_shipped.fetch_add(batch.entries.size(),
-                                        std::memory_order_relaxed);
+      stats_.repl_ops_shipped.fetch_add(entries, std::memory_order_relaxed);
       stats_.repl_last_acked_seq.store(acked, std::memory_order_relaxed);
 
-      const std::uint64_t lag = journal.last_sequence() > acked
-                                    ? journal.last_sequence() - acked
-                                    : 0;
+      const std::uint64_t tip = journal.last_sequence();
+      const std::uint64_t lag = tip > acked ? tip - acked : 0;
       const bool lagging = lag > config_.replication_batch;
       if (lagging && !was_lagging) {
         audit_.record({now(), "REPLICA_SYNC", peer.identity.str(), "",
@@ -1190,7 +1167,7 @@ void MyProxyServer::handle_replica_sync(net::Channel& channel,
                                    lag)});
       }
       was_lagging = lagging;
-    }
+    });
   } catch (const IoError& e) {
     // Replica went away (failover drill, crash, or network): end the
     // stream quietly; it will reconnect and resume from its acked offset.
@@ -1295,28 +1272,6 @@ void MyProxyServer::handle_cluster_map(net::Channel& channel, const Request&,
   channel.send(text);
 }
 
-namespace {
-
-/// Username a journal entry belongs to, for shard-filtering the migration
-/// replay. Mirrors how ReplicatedStore journals each op type.
-std::string entry_username(const replication::JournalEntry& entry) {
-  switch (entry.type) {
-    case replication::OpType::kPut:
-      return repository::CredentialRecord::parse(entry.payload).username;
-    case replication::OpType::kRemove: {
-      // Payload is the store key "<username>\x1e<credential name>".
-      const std::size_t sep = entry.payload.find('\x1e');
-      return entry.payload.substr(
-          0, sep == std::string::npos ? entry.payload.size() : sep);
-    }
-    case replication::OpType::kRemoveAll:
-      return entry.payload;
-  }
-  return {};
-}
-
-}  // namespace
-
 void MyProxyServer::handle_migrate(net::Channel& channel,
                                    const Request& request,
                                    const pki::VerifiedIdentity& peer) {
@@ -1373,18 +1328,26 @@ void MyProxyServer::handle_migrate(net::Channel& channel,
 
   stats_.cluster_migrations_started.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t new_epoch = map.epoch() + 1;
-  auto& journal = *config_.journal;
   log::info(kLogComponent,
             "migrating shard {} to primary port {} (epoch {} -> {})", shard,
             target_port, map.epoch(), new_epoch);
 
   // Open the install stream to the new owner (mutual TLS, same trust roots
-  // as every other channel in the system).
+  // as every other channel in the system). The target receives every
+  // sealed record of the shard, which is enough for an offline pass-phrase
+  // attack, so a trusted chain is not enough: it must also be a cluster
+  // member, as its own MIGRATE_INSTALL check demands of this node.
   tls::TlsContext out_context = tls::TlsContext::make(host_credential_);
   auto out = tls::TlsChannel::connect(
       out_context, net::tcp_connect(target_port, config_.handshake_timeout),
       config_.request_timeout);
-  (void)trust_store_.verify(out->peer_chain());
+  const pki::VerifiedIdentity target_peer =
+      trust_store_.verify(out->peer_chain());
+  if (!config_.cluster_admin_acl.allows(target_peer.identity)) {
+    throw PolicyError(
+        fmt::format("migration target '{}' is not in cluster_admin_acl",
+                    target_peer.identity.str()));
+  }
   Request install;
   install.command = Command::kMigrateInstall;
   install.shard = shard;
@@ -1399,61 +1362,15 @@ void MyProxyServer::handle_migrate(net::Channel& channel,
   const auto in_shard = [&map, shard](std::string_view username) {
     return map.shard_of(username) == shard;
   };
-  std::uint64_t shipped = 0;
-  const std::size_t batch_limit =
-      std::max<std::size_t>(std::size_t{1}, config_.replication_batch);
-  const auto ship = [&](std::vector<replication::JournalEntry> entries) {
-    if (entries.empty()) return;
-    replication::Batch batch;
-    batch.primary_last_sequence = journal.last_sequence();
-    batch.entries = std::move(entries);
-    out->send(replication::encode_batch(batch));
-    (void)replication::decode_ack(out->receive());
-    shipped += batch.entries.size();
-  };
+  replication::Shipper shipper(*config_.journal, *out,
+                               config_.replication_batch, in_shard);
 
-  // Phase 1 — bulk copy. The journal cursor is captured *before* reading
-  // the store, so any write racing the copy is replayed by the tail drains
-  // below (apply_entry is idempotent; a record seen twice converges).
-  std::uint64_t cursor = journal.last_sequence();
-  std::vector<std::string> moved_users;
-  {
-    const auto& store = repository_->store();
-    std::vector<replication::JournalEntry> chunk;
-    for (const auto& username : store.usernames()) {
-      if (!in_shard(username)) continue;
-      moved_users.push_back(username);
-      for (const auto& record : store.list(username)) {
-        chunk.push_back(
-            {0, replication::OpType::kPut, record.serialize()});
-        if (chunk.size() >= batch_limit) {
-          ship(std::move(chunk));
-          chunk = {};
-        }
-      }
-    }
-    ship(std::move(chunk));
-  }
-
-  // Replays journal growth since `cursor`, filtered to the moving shard.
-  // Bounded by the tail position at entry so concurrent writes to *other*
-  // shards cannot keep it chasing the log forever.
-  const auto drain_tail = [&] {
-    const std::uint64_t tip = journal.last_sequence();
-    while (cursor < tip) {
-      const auto entries = journal.entries_after(cursor, batch_limit);
-      if (entries.empty()) break;
-      cursor = entries.back().sequence;
-      std::vector<replication::JournalEntry> wanted;
-      for (const auto& entry : entries) {
-        if (in_shard(entry_username(entry))) wanted.push_back(entry);
-      }
-      ship(std::move(wanted));
-    }
-  };
+  // Phase 1 — bulk copy of the shard, consistent as of the journal cursor
+  // the shipper captured before reading the store.
+  shipper.copy(repository_->store());
 
   // Phase 2 — catch-up replay of writes that landed during the copy.
-  drain_tail();
+  shipper.drain();
 
   // Phase 3 — cutover. Fence new writes to the shard, then take the fence
   // barrier: the exclusive acquisition returns only once every write that
@@ -1463,7 +1380,8 @@ void MyProxyServer::handle_migrate(net::Channel& channel,
   fenced_shard_.store(static_cast<std::int64_t>(shard),
                       std::memory_order_release);
   { const std::unique_lock<std::shared_mutex> barrier(fence_mutex_); }
-  drain_tail();
+  shipper.drain();
+  shipper.finish();
 
   // Phase 4 — commit: the target adopts the shard at the new epoch.
   out->send(fmt::format("COMMIT {}", new_epoch));
@@ -1484,12 +1402,18 @@ void MyProxyServer::handle_migrate(net::Channel& channel,
   // Phase 6 — drop the moved range locally. Ordinary journaled removals,
   // so this node's own replicas forget the range too. The target has been
   // the owner of record since the commit, so a crash mid-loop strands only
-  // unreachable dead records, never live ones.
+  // unreachable dead records, never live ones. Writes to the shard are
+  // refused from the flip on, so this walk sees every username the copy
+  // and the drains shipped.
   auto& store = repository_->store_mutable();
-  for (const auto& username : moved_users) {
+  std::size_t moved_users = 0;
+  for (const auto& username : store.usernames()) {
+    if (!in_shard(username)) continue;
     (void)store.remove_all(username);
+    ++moved_users;
   }
 
+  const std::uint64_t shipped = shipper.shipped();
   stats_.cluster_records_migrated_out.fetch_add(shipped,
                                                 std::memory_order_relaxed);
   stats_.cluster_migrations_completed.fetch_add(1, std::memory_order_relaxed);
@@ -1497,13 +1421,13 @@ void MyProxyServer::handle_migrate(net::Channel& channel,
                  AuditOutcome::kSuccess,
                  fmt::format("shard {} -> port {}: {} user(s), {} record(s), "
                              "epoch {}",
-                             shard, target_port, moved_users.size(), shipped,
+                             shard, target_port, moved_users, shipped,
                              new_epoch)});
   log::info(kLogComponent,
             "shard {} migrated to port {}: {} user(s), {} record(s)", shard,
-            target_port, moved_users.size(), shipped);
+            target_port, moved_users, shipped);
   Response done;
-  done.fields["MOVED_USERS"] = std::to_string(moved_users.size());
+  done.fields["MOVED_USERS"] = std::to_string(moved_users);
   done.fields["MOVED_RECORDS"] = std::to_string(shipped);
   done.fields["EPOCH"] = std::to_string(new_epoch);
   channel.send(done.serialize());
@@ -1541,31 +1465,24 @@ void MyProxyServer::handle_migrate_install(net::Channel& channel,
             peer.identity.str(), request.sequence);
 
   // Apply through the repository's (replicated) store: each entry journals
-  // locally, so this node's own replicas follow the incoming range.
-  auto& store = repository_->store_mutable();
-  std::uint64_t applied = 0;
-  while (true) {
-    const std::string frame = channel.receive();
-    if (frame.rfind("COMMIT ", 0) == 0) {
-      const auto epoch =
-          strings::parse_u64(strings::trim(frame.substr(7)));
-      if (!epoch.has_value() || *epoch != request.sequence) {
-        throw ProtocolError("migration commit epoch mismatch");
-      }
-      const std::lock_guard lock(cluster_mutex_);
-      cluster_map_.reassign(request.shard,
-                            cluster_map_.node_endpoints(cluster_self_),
-                            *epoch);
-      break;
-    }
-    const replication::Batch batch = replication::decode_batch(frame);
-    for (const auto& entry : batch.entries) {
-      replication::apply_entry(store, entry);
-    }
-    applied += batch.entries.size();
-    stats_.cluster_records_migrated_in.fetch_add(batch.entries.size(),
-                                                 std::memory_order_relaxed);
-    channel.send(replication::encode_ack(applied));
+  // locally, so this node's own replicas follow the incoming range. The
+  // shipment (the shard's copy and its journal drains) ends before COMMIT.
+  const std::uint64_t applied =
+      replication::receive_shipment(channel, repository_->store_mutable())
+          .entries;
+  stats_.cluster_records_migrated_in.fetch_add(applied,
+                                               std::memory_order_relaxed);
+  const std::string commit = channel.receive();
+  const auto epoch = commit.starts_with("COMMIT ")
+                         ? strings::parse_u64(std::string_view(commit).substr(7))
+                         : std::nullopt;
+  if (!epoch.has_value() || *epoch != request.sequence) {
+    throw ProtocolError("migration commit epoch mismatch");
+  }
+  {
+    const std::lock_guard lock(cluster_mutex_);
+    cluster_map_.reassign(request.shard,
+                          cluster_map_.node_endpoints(cluster_self_), *epoch);
   }
 
   audit_.record({now(), "MIGRATE_INSTALL", peer.identity.str(), "",

@@ -474,6 +474,44 @@ TEST_F(ClusterE2ETest, MigrationUnderConcurrentWritesLosesNothing) {
   EXPECT_EQ(nodes_[0].repo->size(), 0u);
 }
 
+TEST_F(ClusterE2ETest, MigrationRefusesATrustedTargetOutsideClusterAdminAcl) {
+  start_cluster(2);
+  const std::uint16_t source = nodes_[0].port();
+  const std::uint32_t shard = map_.owned_shards(source).front();
+  const std::string username = username_in_shard(shard, "guarded");
+  const auto user = make_user(username);
+  auto portal = routed_client(
+      make_service("/C=US/O=Grid/OU=Portals/CN=portal-guard"));
+  put_credential(portal, user, username);
+
+  // The CA issued this node's host credential, so its chain verifies, but
+  // it is not in cluster_admin_acl. Its own ACL admits the source, so it
+  // would take the shard's sealed records if they were offered.
+  repository::RepositoryPolicy policy;
+  policy.kdf_iterations = 100;
+  auto rogue_repo = std::make_shared<repository::Repository>(
+      std::make_unique<repository::MemoryCredentialStore>(), policy);
+  MyProxyServer rogue(make_service("/C=US/O=Grid/OU=Rogue/CN=rogue.grid.test"),
+                      make_trust_store(), rogue_repo, base_config());
+  rogue.start();
+  rogue.set_cluster(map_, rogue.port());
+
+  auto admin = routed_client(
+      make_service("/C=US/O=Grid/OU=Portals/CN=cluster-admin"));
+  EXPECT_THROW((void)admin.cluster_migrate(shard, rogue.port()), Error);
+
+  EXPECT_EQ(rogue_repo->size(), 0u);
+  EXPECT_EQ(rogue.stats().cluster_records_migrated_in.load(), 0u);
+  // The shard stays where it was and keeps taking writes.
+  EXPECT_EQ(nodes_[0].server->cluster_map().epoch(), 1u);
+  EXPECT_TRUE(nodes_[0].server->cluster_map().owns(source, shard));
+  EXPECT_EQ(nodes_[0].server->stats().cluster_migrations_completed.load(),
+            0u);
+  put_credential(portal, user, username, "after-refusal");
+  EXPECT_EQ(nodes_[0].repo->size(), 2u);
+  rogue.stop();
+}
+
 TEST_F(ClusterE2ETest, ClusterRedirectLoopExhaustsTheHopBudget) {
   // Two nodes with deliberately crossed single-shard maps: each insists the
   // other owns everything. The client must not ping-pong forever.

@@ -433,6 +433,9 @@ TEST(HttpBindingFence, OtpGetDuringCutoverIs503AndChainHolds) {
   config.replication_role = replication::ReplicationRole::kPrimary;
   config.journal = journal;
   config.cluster_admin_acl.add(admin.identity().str());
+  // The source ships a shard only to a target inside cluster_admin_acl.
+  const auto target_credential = make_service("http-fence-target");
+  config.cluster_admin_acl.add(target_credential.identity().str());
   server::MyProxyServer server(make_service("http-fence-myproxy"),
                                make_trust_store(), repo, config);
   server.start();
@@ -448,8 +451,7 @@ TEST(HttpBindingFence, OtpGetDuringCutoverIs503AndChainHolds) {
   std::promise<void> commit_seen;
   std::promise<void> release;
   std::thread target([&] {
-    const tls::TlsContext ctx =
-        tls::TlsContext::make(make_service("http-fence-target"));
+    const tls::TlsContext ctx = tls::TlsContext::make(target_credential);
     auto channel = tls::TlsChannel::accept(ctx, target_listener.accept());
     (void)channel->receive();  // MIGRATE_INSTALL
     channel->send(protocol::Response::make_ok().serialize());

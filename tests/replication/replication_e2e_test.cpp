@@ -5,16 +5,28 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
+#include <sstream>
+#include <thread>
+#include <vector>
 
 #include "client/myproxy_client.hpp"
 #include "common/error.hpp"
+#include "common/format.hpp"
+#include "common/logging.hpp"
 #include "gsi/gsi_fixtures.hpp"
 #include "gsi/proxy.hpp"
+#include "net/socket.hpp"
+#include "protocol/message.hpp"
+#include "replication/replica_session.hpp"
 #include "replication/replicated_store.hpp"
 #include "server/myproxy_server.hpp"
+#include "tls/tls_channel.hpp"
 
 namespace myproxy {
 namespace {
@@ -49,6 +61,42 @@ ServerConfig base_config() {
   return config;
 }
 
+/// A bare record, written straight into a store (no client round trip).
+repository::CredentialRecord make_record(const std::string& username,
+                                         const std::string& owner) {
+  repository::CredentialRecord record;
+  record.username = username;
+  record.owner_dn = "/C=US/O=Grid/OU=People/CN=" + owner;
+  record.blob = {1, 2, 3, 4, 5};
+  record.sealing = repository::Sealing::kPassphrase;
+  record.created_at = now();
+  record.not_after = now() + Seconds(3600);
+  return record;
+}
+
+/// Every record of `store`, serialized, sorted.
+std::vector<std::string> contents(const repository::CredentialStore& store) {
+  std::vector<std::string> out;
+  for (const auto& username : store.usernames()) {
+    for (const auto& record : store.list(username)) {
+      out.push_back(record.serialize());
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Poll `done` until it holds or `timeout` passes.
+template <typename Predicate>
+bool eventually(Predicate&& done, Millis timeout = Millis(10000)) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(Millis(5));
+  }
+  return true;
+}
+
 class ReplicationE2ETest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -77,10 +125,13 @@ class ReplicationE2ETest : public ::testing::Test {
             dir_ / "journal.watermark"),
         policy);
 
+    primary_repo_ = repo;
+
     ServerConfig config = base_config();
     config.replication_role = replication::ReplicationRole::kPrimary;
     config.journal = journal_;
     config.replica_acl.add(std::string(kReplicaDn));
+    config.replication_batch = replication_batch_;
     primary_ = std::make_unique<MyProxyServer>(
         make_service("/C=US/O=Grid/OU=Services/CN=myproxy.grid.test"),
         make_trust_store(), repo, std::move(config));
@@ -111,6 +162,19 @@ class ReplicationE2ETest : public ::testing::Test {
   void stop_primary() {
     if (primary_) primary_->stop();
   }
+
+  /// Replace the (still empty) primary with one shipping `batch` entries
+  /// per replication frame.
+  void restart_primary_with_batch(std::size_t batch) {
+    stop_primary();
+    primary_.reset();
+    primary_repo_.reset();
+    journal_.reset();
+    std::filesystem::remove(dir_ / "journal.log");
+    std::filesystem::remove(dir_ / "journal.watermark");
+    replication_batch_ = batch;
+    start_primary();
+  }
   void stop_replica() {
     if (replica_) replica_->stop();
   }
@@ -137,7 +201,9 @@ class ReplicationE2ETest : public ::testing::Test {
   }
 
   std::filesystem::path dir_;
+  std::size_t replication_batch_ = ServerConfig{}.replication_batch;
   std::shared_ptr<replication::ReplicationJournal> journal_;
+  std::shared_ptr<repository::Repository> primary_repo_;
   std::shared_ptr<repository::Repository> replica_repo_;
   std::unique_ptr<MyProxyServer> primary_;
   std::unique_ptr<MyProxyServer> replica_;
@@ -304,6 +370,181 @@ TEST_F(ReplicationE2ETest, StatsCommandReportsRolesAndReplicationState) {
   EXPECT_EQ(replica_stats.at("REPL_LAST_APPLIED_SEQ"),
             std::to_string(journal_->last_sequence()));
   EXPECT_EQ(replica_stats.at("REPL_LAG"), "0");
+}
+
+TEST_F(ReplicationE2ETest, SnapshotOfManyBatchesUnderRacingWritesMatches) {
+  // 50 records at 8 per frame: the copy takes 7 acked batches, and two
+  // writers keep putting, overwriting and removing while it runs.
+  restart_primary_with_batch(8);
+  auto& store = primary_repo_->store_mutable();
+  for (int i = 0; i < 50; ++i) {
+    store.put(make_record(fmt::format("user-{}", i), "seed"));
+  }
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < 2; ++w) {
+    writers.emplace_back([&store, &stop, w] {
+      for (int i = 0; !stop.load(); ++i) {
+        const std::string username = fmt::format("user-{}", (i * 7 + w) % 60);
+        if (i % 5 == 4) {
+          (void)store.remove(username, "");
+        } else {
+          store.put(make_record(username, fmt::format("writer-{}-{}", w, i)));
+        }
+        std::this_thread::sleep_for(Millis(1));
+      }
+    });
+  }
+
+  start_replica();
+  const bool installed = eventually([&] {
+    return replica_->replica_session()->stats().snapshots_installed.load() ==
+           1;
+  });
+  std::this_thread::sleep_for(Millis(50));  // the tail runs under load too
+  stop.store(true);
+  for (auto& writer : writers) writer.join();
+  ASSERT_TRUE(installed);
+
+  wait_for_catchup();
+  EXPECT_GE(primary_->stats().repl_snapshot_records.load(), 40u);
+  EXPECT_EQ(contents(replica_repo_->store()), contents(primary_repo_->store()));
+}
+
+TEST_F(ReplicationE2ETest, SnapshotIsBatchesClosedByCopyEndWithoutRecordCount) {
+  for (int i = 0; i < 3; ++i) {
+    primary_repo_->store_mutable().put(
+        make_record(fmt::format("wire-{}", i), "seed"));
+  }
+  // Speak REPLICA_SYNC by hand, as the replica identity.
+  const auto context =
+      tls::TlsContext::make(make_service(std::string(kReplicaDn)));
+  auto channel = tls::TlsChannel::connect(
+      context, net::tcp_connect(primary_->port(), Millis(5000)),
+      Millis(5000));
+  protocol::Request request;
+  request.command = protocol::Command::kReplicaSync;
+  request.sequence = 0;
+  channel->send(request.serialize());
+  const auto response = protocol::Response::parse(channel->receive());
+  ASSERT_TRUE(response.ok());
+  EXPECT_EQ(response.fields.at("MODE"), "snapshot");
+  EXPECT_EQ(response.fields.at("SNAPSHOT_SEQ"), "3");
+  // A replica built for the record-per-frame snapshot reads this field
+  // first; its absence fails that replica with a ProtocolError before it
+  // touches its store or its state file.
+  EXPECT_EQ(response.fields.count("SNAPSHOT_COUNT"), 0u);
+
+  std::uint64_t records = 0;
+  std::string frame = channel->receive();
+  while (!replication::decode_copy_end(frame).has_value()) {
+    const auto batch = replication::decode_batch(frame);
+    for (const auto& entry : batch.entries) {
+      EXPECT_EQ(entry.sequence, 0u);
+      EXPECT_EQ(entry.type, replication::OpType::kPut);
+    }
+    records += batch.entries.size();
+    channel->send(replication::encode_ack(records));
+    frame = channel->receive();
+  }
+  const auto end = replication::decode_copy_end(frame);
+  EXPECT_EQ(end->sequence, 3u);
+  EXPECT_EQ(end->entries, 3u);
+  EXPECT_EQ(records, 3u);
+  channel->send(replication::encode_ack(records));
+  channel->close();
+}
+
+TEST_F(ReplicationE2ETest, RecordPerFrameSnapshotFailsWithoutAdvancingState) {
+  // A primary from before the batched snapshot: MODE=snapshot with
+  // SNAPSHOT_COUNT, then one bare record per frame.
+  std::optional<net::TcpListener> listener(net::TcpListener::bind(0));
+  const std::uint16_t port = listener->port();
+  const auto old_primary_credential =
+      make_service("/C=US/O=Grid/OU=Services/CN=old-primary.grid.test");
+  std::thread old_primary([&] {
+    const auto context = tls::TlsContext::make(old_primary_credential);
+    auto channel =
+        tls::TlsChannel::accept(context, listener->accept(), Millis(5000));
+    (void)protocol::Request::parse(channel->receive());
+    protocol::Response response;
+    response.fields["MODE"] = "snapshot";
+    response.fields["SNAPSHOT_COUNT"] = "1";
+    response.fields["SNAPSHOT_SEQ"] = "7";
+    channel->send(response.serialize());
+    channel->send(make_record("alice", "alice").serialize());
+    try {
+      (void)channel->receive();  // returns when the replica hangs up
+    } catch (const Error&) {
+    }
+    listener.reset();  // later dials are refused
+  });
+
+  std::ostringstream log_text;
+  log::Logger::instance().set_sink(&log_text);
+  replication::ReplicaConfig config;
+  config.primary_port = port;
+  config.state_file = dir_ / "old-primary.state";
+  config.reconnect_backoff = Millis(50);
+  repository::MemoryCredentialStore store;
+  replication::ReplicaSession session(make_service(std::string(kReplicaDn)),
+                                      make_trust_store(), store, config);
+  session.start();
+  old_primary.join();
+  EXPECT_TRUE(eventually(
+      [&] { return session.stats().reconnects.load() >= 1; }));
+  session.stop();
+  log::Logger::instance().set_sink(nullptr);
+
+  EXPECT_NE(log_text.str().find("bad replication batch header"),
+            std::string::npos)
+      << log_text.str();
+  EXPECT_EQ(session.stats().snapshots_installed.load(), 0u);
+  EXPECT_EQ(session.stats().last_applied_sequence.load(), 0u);
+  EXPECT_FALSE(std::filesystem::exists(config.state_file));
+  EXPECT_EQ(store.size(), 0u);
+}
+
+TEST_F(ReplicationE2ETest, ReplicaStreamLifetimeIsNotChargedAsOpLatency) {
+  const auto alice = make_user("repl-hist-alice");
+  put_credential(alice, "alice");
+  start_replica();
+  wait_for_catchup();
+  stop_replica();
+  replica_.reset();
+  ASSERT_TRUE(eventually(
+      [&] { return primary_->stats().repl_replicas_connected.load() == 0; }));
+  stop_primary();  // every dispatch has returned
+
+  const auto charged = [this](protocol::Command command) {
+    return primary_->stats()
+        .op_latency[static_cast<std::size_t>(command)]
+        .snapshot()
+        .total;
+  };
+  EXPECT_EQ(charged(protocol::Command::kReplicaSync), 0u);
+  EXPECT_EQ(charged(protocol::Command::kPut), 1u);
+}
+
+TEST_F(ReplicationE2ETest, UnwritableStateFileWarnsAndKeepsTailing) {
+  // rename() cannot replace a non-empty directory with the state file.
+  std::filesystem::create_directories(dir_ / "replica.state");
+  std::ofstream(dir_ / "replica.state" / "occupied") << "x\n";
+  const auto alice = make_user("repl-state-alice");
+  put_credential(alice, "alice");
+  const auto warnings_before = log::Logger::instance().warning_count();
+
+  start_replica();
+  wait_for_catchup();
+  EXPECT_TRUE(eventually([&] {
+    return log::Logger::instance().warning_count() > warnings_before;
+  }));
+
+  put_credential(alice, "alice2");
+  wait_for_catchup();
+  EXPECT_EQ(replica_repo_->size(), 2u);
+  EXPECT_TRUE(replica_->replica_session()->stats().connected.load());
+  EXPECT_EQ(replica_->replica_session()->stats().reconnects.load(), 0u);
 }
 
 TEST_F(ReplicationE2ETest, AuditLogFileRecordsReplicationEventsAsJson) {

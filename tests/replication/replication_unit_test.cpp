@@ -1,17 +1,22 @@
-// Unit tests for the replication subsystem's journal, wire framing, and
-// journaling store decorator — including the crash windows: a torn journal
-// tail and a store that died between journal append and store apply.
+// Unit tests for the replication subsystem's journal, wire framing,
+// journaling store decorator and copy-then-tail shipper — including the
+// crash windows (a torn journal tail, a store that died between journal
+// append and store apply) and hostile bytes from a peer.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <thread>
 
 #include "common/error.hpp"
+#include "common/mutation.hpp"
+#include "net/socket.hpp"
 #include "replication/journal.hpp"
 #include "replication/replicated_store.hpp"
+#include "replication/shipper.hpp"
 #include "replication/wire.hpp"
 
 namespace myproxy::replication {
@@ -167,6 +172,239 @@ TEST(ReplicationWire, AckRoundTripAndGarbageRejected) {
   EXPECT_EQ(decode_ack(encode_ack(123)), 123u);
   EXPECT_THROW((void)decode_ack("BATCH 1 0\n"), Error);
   EXPECT_THROW((void)decode_batch("ACK 5\n"), Error);
+}
+
+TEST(ReplicationWire, CopyEndRoundTripAndGarbageRejected) {
+  const auto back = decode_copy_end(encode_copy_end({17, 50}));
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->sequence, 17u);
+  EXPECT_EQ(back->entries, 50u);
+  EXPECT_FALSE(decode_copy_end(encode_batch({})).has_value());
+  EXPECT_FALSE(decode_copy_end("ACK 5\n").has_value());
+  EXPECT_THROW((void)decode_copy_end("COPY_END 17\n"), ProtocolError);
+  EXPECT_THROW((void)decode_copy_end("COPY_END -1 2\n"), ProtocolError);
+}
+
+TEST(ReplicationJournal, EntryUsernameDecodesEveryOpType) {
+  const auto put = make_record("alice", "wallet");
+  EXPECT_EQ(entry_username({1, OpType::kPut, put.serialize()}), "alice");
+  EXPECT_EQ(entry_username({2, OpType::kRemove,
+                            repository::CredentialRecord::make_key("bob",
+                                                                   "x")}),
+            "bob");
+  EXPECT_EQ(entry_username({3, OpType::kRemoveAll, "carol"}), "carol");
+  // A remove without its key separator is as malformed here as it is to
+  // apply_entry: neither may guess the username.
+  const JournalEntry keyless{4, OpType::kRemove, "dave"};
+  EXPECT_THROW((void)entry_username(keyless), ParseError);
+  repository::MemoryCredentialStore store;
+  EXPECT_THROW(apply_entry(store, keyless), ParseError);
+}
+
+/// Every record of `store`, serialized, in (username, name) order.
+std::vector<std::string> contents(const repository::CredentialStore& store) {
+  std::vector<std::string> out;
+  for (const auto& username : store.usernames()) {
+    for (const auto& record : store.list(username)) {
+      out.push_back(record.serialize());
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Plain channel that remembers the largest batch it received.
+class BatchSizeChannel final : public net::Channel {
+ public:
+  explicit BatchSizeChannel(net::Socket socket) : inner_(std::move(socket)) {}
+  void send(std::string_view message) override { inner_.send(message); }
+  std::string receive() override {
+    std::string frame = inner_.receive();
+    if (!decode_copy_end(frame).has_value()) {
+      largest = std::max(largest, decode_batch(frame).entries.size());
+    }
+    return frame;
+  }
+  void close() noexcept override { inner_.close(); }
+  std::size_t largest = 0;
+
+ private:
+  net::PlainChannel inner_;
+};
+
+TEST(ReplicationShipper, CopiesInBoundedBatchesThenDrainsTheFilteredTail) {
+  const ScratchDir dir("shipper");
+  auto journal = std::make_shared<ReplicationJournal>(dir / "journal.log");
+  ReplicatedStore source(
+      std::make_unique<repository::MemoryCredentialStore>(), journal);
+  for (int i = 0; i < 20; ++i) {
+    source.put(make_record("keep-" + std::to_string(i)));
+    source.put(make_record("skip-" + std::to_string(i)));
+  }
+  const auto keep = [](std::string_view username) {
+    return username.starts_with("keep-");
+  };
+
+  auto [a, b] = net::socket_pair();
+  net::PlainChannel sender(std::move(a));
+  BatchSizeChannel receiver(std::move(b));
+  repository::MemoryCredentialStore target;
+  CopyEnd end;
+  std::thread peer([&] { end = receive_shipment(receiver, target); });
+
+  Shipper shipper(*journal, sender, 3, keep);
+  EXPECT_EQ(shipper.cursor(), 40u);
+  shipper.copy(source);
+  EXPECT_EQ(shipper.shipped(), 20u);
+  // Writes after the cursor reach the target only through the tail.
+  source.put(make_record("keep-new"));
+  source.put(make_record("skip-new"));
+  (void)source.remove_all("keep-0");
+  shipper.drain();
+  EXPECT_EQ(shipper.cursor(), journal->last_sequence());
+  shipper.finish();
+  peer.join();
+
+  EXPECT_EQ(end.sequence, journal->last_sequence());
+  EXPECT_EQ(end.entries, 22u);
+  EXPECT_EQ(shipper.shipped(), 22u);
+  EXPECT_EQ(receiver.largest, 3u);
+  std::vector<std::string> expected;
+  for (const auto& username : source.usernames()) {
+    if (!keep(username)) continue;
+    for (const auto& record : source.list(username)) {
+      expected.push_back(record.serialize());
+    }
+  }
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(contents(target), expected);
+  EXPECT_EQ(target.size(), 20u);  // keep-0 gone, keep-new arrived
+}
+
+TEST(ReplicationShipper, CopyCutsFramesBelowTheMessageCap) {
+  // 40 records of 64 KiB: one frame of replication_batch (here 1000)
+  // entries would be ~3.4 MiB of base64, over the channel's 1 MiB cap.
+  repository::MemoryCredentialStore source;
+  for (int i = 0; i < 40; ++i) {
+    auto record = make_record("big-" + std::to_string(i));
+    record.blob.assign(64 * 1024, static_cast<std::uint8_t>(i));
+    source.put(record);
+  }
+  const ScratchDir dir("shipper-cap");
+  const ReplicationJournal journal(dir / "journal.log");
+  auto [a, b] = net::socket_pair();
+  net::PlainChannel sender(std::move(a));
+  BatchSizeChannel receiver(std::move(b));
+  repository::MemoryCredentialStore target;
+  std::thread peer([&] {
+    try {
+      (void)receive_shipment(receiver, target);
+    } catch (const Error&) {
+    }
+  });
+  Shipper shipper(journal, sender, 1000);
+  EXPECT_NO_THROW({
+    shipper.copy(source);
+    shipper.finish();
+  });
+  sender.close();  // releases the peer if the copy failed
+  peer.join();
+  EXPECT_EQ(target.size(), 40u);
+  EXPECT_LT(receiver.largest, 40u);
+}
+
+TEST(ReplicationShipper, ReceiveShipmentRefusesTheRecordPerFrameSnapshot) {
+  // The snapshot format this replaced sent one bare record per frame
+  // after a SNAPSHOT_COUNT response field; a receiver must fail on it, not
+  // half-install it.
+  auto [a, b] = net::socket_pair();
+  net::PlainChannel sender(std::move(a));
+  net::PlainChannel receiver(std::move(b));
+  sender.send(make_record("alice").serialize());
+  repository::MemoryCredentialStore target;
+  EXPECT_THROW((void)receive_shipment(receiver, target), ProtocolError);
+  EXPECT_EQ(target.size(), 0u);
+}
+
+TEST(ReplicationShipper, ReceiveShipmentRefusesAnEndFrameThatMiscounts) {
+  auto [a, b] = net::socket_pair();
+  net::PlainChannel sender(std::move(a));
+  net::PlainChannel receiver(std::move(b));
+  Batch batch;
+  batch.entries.push_back({0, OpType::kPut, make_record("alice").serialize()});
+  sender.send(encode_batch(batch));
+  sender.send(encode_copy_end({5, 2}));
+  repository::MemoryCredentialStore target;
+  EXPECT_THROW((void)receive_shipment(receiver, target), ProtocolError);
+  EXPECT_EQ(decode_ack(sender.receive()), 1u);
+}
+
+// Hostile input: bytes a peer sends on the replication stream, mutated
+// deterministically (tests/common/mutation.hpp). Each case must decode or
+// apply, or throw a myproxy::Error — never crash or throw anything else.
+constexpr std::uint32_t kMutationCases = 1000;
+
+template <typename Consume>
+void survives_mutations(const std::string& valid, const std::string& donor,
+                        Consume&& consume) {
+  const auto input = encoding::to_bytes(valid);
+  const auto other = encoding::to_bytes(donor);
+  for (std::uint32_t i = 0; i < kMutationCases; ++i) {
+    const std::string mutated =
+        encoding::to_string(mutation::mutate(input, other, i));
+    try {
+      consume(mutated);
+    } catch (const Error&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "case " << i << " threw a non-myproxy error: "
+                    << e.what();
+    }
+  }
+}
+
+Batch sample_batch() {
+  Batch batch;
+  batch.primary_last_sequence = 1234;
+  batch.entries.push_back({1231, OpType::kPut,
+                           make_record("alice", "wallet").serialize()});
+  batch.entries.push_back(
+      {1232, OpType::kRemove,
+       repository::CredentialRecord::make_key("bob", "x")});
+  batch.entries.push_back({1233, OpType::kRemoveAll, "carol"});
+  return batch;
+}
+
+TEST(ReplicationHostileInput, DecodeBatchSurvivesMutations) {
+  Batch donor;
+  donor.primary_last_sequence = 9;
+  donor.entries.push_back({0, OpType::kPut, make_record("dave").serialize()});
+  survives_mutations(encode_batch(sample_batch()), encode_batch(donor),
+                     [](const std::string& text) {
+                       (void)decode_batch(text);
+                     });
+}
+
+TEST(ReplicationHostileInput, DecodeAckSurvivesMutations) {
+  survives_mutations(encode_ack(18446744073709551615ULL), encode_ack(7),
+                     [](const std::string& text) { (void)decode_ack(text); });
+}
+
+TEST(ReplicationHostileInput, DecodeCopyEndSurvivesMutations) {
+  survives_mutations(encode_copy_end({4096, 1024}), encode_batch({}),
+                     [](const std::string& text) {
+                       (void)decode_copy_end(text);
+                     });
+}
+
+TEST(ReplicationHostileInput, ApplyEntrySurvivesMutations) {
+  // Mutate the payload of each op type and apply it to a memory store.
+  const std::string donor = make_record("erin", "other").serialize();
+  for (const JournalEntry& valid : sample_batch().entries) {
+    repository::MemoryCredentialStore store;
+    survives_mutations(valid.payload, donor, [&](const std::string& payload) {
+      apply_entry(store, {valid.sequence, valid.type, payload});
+    });
+  }
 }
 
 TEST(ReplicationStore, MutationsAreJournaledInOrder) {

@@ -104,6 +104,11 @@ TEST(CredentialRecord, ParseRejectsJunkNumericFields) {
   EXPECT_THROW(
       CredentialRecord::parse(corrupt("max_delegation_lifetime", "+600")),
       ParseError);
+  // Seconds a TimePoint cannot hold would overflow its nanosecond count.
+  EXPECT_THROW(CredentialRecord::parse(corrupt("not_after", "9792297988")),
+               ParseError);
+  EXPECT_THROW(CredentialRecord::parse(corrupt("created_at", "-9792297988")),
+               ParseError);
   // Negative remaining-uses would wrap under stoul; it must be refused.
   std::string with_otp = good;
   with_otp += "otp_current deadbeef\notp_remaining -3\n";
