@@ -1,11 +1,13 @@
 #include "replication/journal.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
-#include <charconv>
+#include <algorithm>
+#include <cerrno>
+#include <cstring>
 #include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "common/encoding.hpp"
@@ -36,29 +38,77 @@ std::string checksum_hex(std::uint64_t sequence, OpType type,
   return out;
 }
 
+/// The one line scanner behind recovery, seeks and reads: calls
+/// `on_line(line, next)` for each complete line of `fd` in [offset, end),
+/// `next` being the offset past its newline, reading kJournalReadChunk
+/// bytes at a time. Stops at the first line `on_line` refuses and returns
+/// the offset past the last line it accepted.
+template <typename OnLine>
+std::uint64_t scan_lines(int fd, std::uint64_t offset, std::uint64_t end,
+                         OnLine&& on_line) {
+  std::string buffer;        // file bytes from `offset` on
+  std::size_t start = 0;     // index of the next line in `buffer`
+  std::size_t searched = 0;  // bytes from `start` known to hold no newline
+  while (true) {
+    const std::size_t nl = buffer.find('\n', start + searched);
+    if (nl != std::string::npos) {
+      const std::string_view line(buffer.data() + start, nl - start);
+      if (!on_line(line, offset + nl + 1)) return offset + start;
+      start = nl + 1;
+      searched = 0;
+      continue;
+    }
+    searched = buffer.size() - start;
+    const std::uint64_t at = offset + buffer.size();
+    if (at >= end) return offset + start;
+    buffer.erase(0, start);
+    offset += start;
+    start = 0;
+    const std::size_t have = buffer.size();
+    const auto want = static_cast<std::size_t>(
+        std::min<std::uint64_t>(kJournalReadChunk, end - at));
+    buffer.resize(have + want);
+    const ssize_t got =
+        ::pread(fd, buffer.data() + have, want, static_cast<off_t>(at));
+    if (got < 0 && errno != EINTR) {
+      throw IoError(fmt::format("journal read failed: {}",
+                                std::strerror(errno)));
+    }
+    buffer.resize(have + static_cast<std::size_t>(std::max<ssize_t>(got, 0)));
+    if (got == 0) return offset;  // the file ends before `end`
+  }
+}
+
+/// What a read or seek throws when the file ends before the end offset
+/// the journal published: the file was cut under it.
+IoError cut_short(const std::filesystem::path& path, std::uint64_t at,
+                  std::uint64_t end) {
+  return IoError(fmt::format(
+      "journal '{}' ends at byte {} before its published end {} (truncated "
+      "or rotated while the server ran?)",
+      path.string(), at, end));
+}
+
+}  // namespace
+
 std::string encode_line(const JournalEntry& entry) {
   const std::string encoded = encoding::base64_encode(entry.payload);
-  return fmt::format("E {} {} {} {}\n", entry.sequence,
+  return fmt::format("E {} {} {} {}", entry.sequence,
                      static_cast<int>(entry.type), encoded,
                      checksum_hex(entry.sequence, entry.type, encoded));
 }
 
-/// Parse one journal line; nullopt when the line is torn or corrupt.
 std::optional<JournalEntry> decode_line(std::string_view line) {
   const auto parts = strings::split(line, ' ');
   if (parts.size() != 5 || parts[0] != "E") return std::nullopt;
-  JournalEntry entry;
-  const auto parse_u64 = [](std::string_view text, std::uint64_t& out) {
-    const auto [ptr, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), out);
-    return ec == std::errc() && ptr == text.data() + text.size();
-  };
-  std::uint64_t type_raw = 0;
-  if (!parse_u64(parts[1], entry.sequence) || !parse_u64(parts[2], type_raw)) {
+  const auto sequence = strings::parse_u64(parts[1]);
+  const auto type = strings::parse_u64(parts[2]);
+  if (!sequence.has_value() || !type.has_value() || *type < 1 || *type > 3) {
     return std::nullopt;
   }
-  if (type_raw < 1 || type_raw > 3) return std::nullopt;
-  entry.type = static_cast<OpType>(type_raw);
+  JournalEntry entry;
+  entry.sequence = *sequence;
+  entry.type = static_cast<OpType>(*type);
   if (parts[4] != checksum_hex(entry.sequence, entry.type, parts[3])) {
     return std::nullopt;
   }
@@ -68,20 +118,6 @@ std::optional<JournalEntry> decode_line(std::string_view line) {
     return std::nullopt;
   }
   return entry;
-}
-
-}  // namespace
-
-std::string_view to_string(OpType type) noexcept {
-  switch (type) {
-    case OpType::kPut:
-      return "put";
-    case OpType::kRemove:
-      return "remove";
-    case OpType::kRemoveAll:
-      return "remove-all";
-  }
-  return "?";
 }
 
 namespace {
@@ -159,19 +195,15 @@ ReplicationJournal::ReplicationJournal(std::filesystem::path path,
                                        repository::SyncMode sync_mode)
     : path_(std::move(path)), sync_mode_(sync_mode) {
   std::filesystem::create_directories(path_.parent_path());
-  recover();
-  fd_ = ::open(path_.c_str(), O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC,
-               0600);
+  fd_ = ::open(path_.c_str(), O_RDWR | O_APPEND | O_CREAT | O_CLOEXEC, 0600);
   if (fd_ < 0) {
     throw IoError(fmt::format("cannot open journal '{}'", path_.string()));
   }
-  if (entries_.empty() && last_sequence_ == 0) {
-    const std::string header = std::string(kJournalHeader) + "\n";
-    if (::write(fd_, header.data(), header.size()) !=
-        static_cast<ssize_t>(header.size())) {
-      throw IoError(fmt::format("cannot initialize journal '{}'",
-                                path_.string()));
-    }
+  try {
+    recover();
+  } catch (...) {
+    ::close(fd_);
+    throw;
   }
 }
 
@@ -180,44 +212,44 @@ ReplicationJournal::~ReplicationJournal() {
 }
 
 void ReplicationJournal::recover() {
-  std::ifstream in(path_, std::ios::binary);
-  if (!in) return;  // fresh journal
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string content = buffer.str();
-
-  std::size_t good_end = 0;  // byte offset past the last intact line
-  std::size_t pos = 0;
-  bool have_header = false;
-  while (pos < content.size()) {
-    const std::size_t nl = content.find('\n', pos);
-    if (nl == std::string::npos) break;  // torn tail: no newline committed
-    const std::string_view line(content.data() + pos, nl - pos);
-    if (!have_header) {
-      if (line != kJournalHeader) break;
-      have_header = true;
-    } else {
-      auto entry = decode_line(line);
-      // Stop at the first bad or out-of-order line: everything after a torn
-      // record is unordered debris from a crashed append. Sequences must be
-      // dense (entries_after() indexes on that).
-      if (!entry.has_value() ||
-          (!entries_.empty() && entry->sequence != last_sequence_ + 1)) {
-        break;
-      }
-      last_sequence_ = entry->sequence;
-      entries_.push_back(std::move(*entry));
-    }
-    pos = nl + 1;
-    good_end = pos;
+  struct stat info {};
+  if (::fstat(fd_, &info) != 0) {
+    throw IoError(fmt::format("cannot stat journal '{}'", path_.string()));
   }
+  const auto size = static_cast<std::uint64_t>(info.st_size);
+  bool have_header = false;
+  // Stop at the first bad or out-of-order line: everything after a torn
+  // record is unordered debris from a crashed append. Sequences are dense
+  // from 1 (the journal never trims), which seek() relies on.
+  end_offset_ = scan_lines(fd_, 0, size, [&](std::string_view line,
+                                             std::uint64_t) {
+    if (!have_header) return (have_header = line == kJournalHeader);
+    const auto entry = decode_line(line);
+    if (!entry.has_value() || entry->sequence != last_sequence_ + 1) {
+      return false;
+    }
+    last_sequence_ = entry->sequence;
+    return true;
+  });
 
-  if (good_end < content.size()) {
-    recovered_bytes_ = content.size() - good_end;
+  if (end_offset_ < size) {
+    recovered_bytes_ = size - end_offset_;
     log::warn(kLogComponent,
               "journal '{}': discarding {} torn byte(s) past sequence {}",
               path_.string(), recovered_bytes_, last_sequence_);
-    std::filesystem::resize_file(path_, good_end);
+    if (::ftruncate(fd_, static_cast<off_t>(end_offset_)) != 0) {
+      throw IoError(fmt::format("cannot truncate journal '{}'",
+                                path_.string()));
+    }
+  }
+  if (end_offset_ == 0) {
+    const std::string header = std::string(kJournalHeader) + "\n";
+    if (::write(fd_, header.data(), header.size()) !=
+        static_cast<ssize_t>(header.size())) {
+      throw IoError(fmt::format("cannot initialize journal '{}'",
+                                path_.string()));
+    }
+    end_offset_ = header.size();
   }
 }
 
@@ -227,31 +259,24 @@ std::uint64_t ReplicationJournal::append(OpType type, std::string payload) {
   entry.payload = std::move(payload);
   {
     const std::scoped_lock lock(mutex_);
-    entry.sequence = ++last_sequence_;
-    const std::string line = encode_line(entry);
+    entry.sequence = last_sequence_ + 1;
+    const std::string line = encode_line(entry) + "\n";
     if (::write(fd_, line.data(), line.size()) !=
         static_cast<ssize_t>(line.size())) {
-      // The sequence number is burned either way; a short write leaves a
-      // torn tail that the next open truncates.
+      // Cut a short write back off so the next append lands where readers
+      // expect it; if even that fails, the next open truncates it.
+      (void)::ftruncate(fd_, static_cast<off_t>(end_offset_));
       throw IoError(fmt::format("journal append failed ('{}')",
                                 path_.string()));
     }
-    entries_.push_back(entry);
+    last_sequence_ = entry.sequence;
+    end_offset_ += line.size();
   }
-  // Flush outside the append lock so concurrent appenders can batch their
-  // fsyncs through the group committer (same discipline as the store).
-  switch (sync_mode_) {
-    case repository::SyncMode::kNone:
-      break;
-    case repository::SyncMode::kFsync:
-      if (::fdatasync(fd_) != 0) {
-        throw IoError(fmt::format("journal fdatasync failed ('{}')",
-                                  path_.string()));
-      }
-      break;
-    case repository::SyncMode::kGroup:
-      committer_.sync({fd_}, /*data_only=*/true);
-      break;
+  // Flush outside the append lock so readers and the next appender are not
+  // held behind the device.
+  if (sync_mode_ == repository::SyncMode::kFsync && ::fdatasync(fd_) != 0) {
+    throw IoError(fmt::format("journal fdatasync failed ('{}')",
+                              path_.string()));
   }
   cv_.notify_all();
   return entry.sequence;
@@ -262,33 +287,69 @@ std::uint64_t ReplicationJournal::last_sequence() const {
   return last_sequence_;
 }
 
-std::uint64_t ReplicationJournal::first_sequence() const {
+ReplicationJournal::Cursor ReplicationJournal::tip() const {
   const std::scoped_lock lock(mutex_);
-  return entries_.empty() ? last_sequence_ + 1 : entries_.front().sequence;
+  return {last_sequence_, end_offset_};
 }
 
-std::vector<JournalEntry> ReplicationJournal::entries_after(
-    std::uint64_t after, std::size_t limit) const {
-  const std::scoped_lock lock(mutex_);
-  std::vector<JournalEntry> out;
-  if (entries_.empty() || limit == 0) return out;
-  // Entries are dense (sequence i lives at index i - first): index directly
-  // instead of scanning.
-  const std::uint64_t first = entries_.front().sequence;
-  const std::uint64_t start = after < first ? first : after + 1;
-  if (start > last_sequence_) return out;
-  for (std::size_t i = static_cast<std::size_t>(start - first);
-       i < entries_.size() && out.size() < limit; ++i) {
-    out.push_back(entries_[i]);
+ReplicationJournal::Cursor ReplicationJournal::seek(
+    std::uint64_t sequence) const {
+  const Cursor end = tip();
+  if (sequence >= end.sequence) return end;
+  Cursor cursor;
+  bool have_header = false;
+  cursor.offset = scan_lines(
+      fd_, 0, end.offset, [&](std::string_view, std::uint64_t) {
+        if (!have_header) return (have_header = true);
+        if (cursor.sequence == sequence) return false;
+        // recover() and append() keep sequences dense from 1, so line n
+        // holds entry n; read() checks each sequence it decodes.
+        ++cursor.sequence;
+        return true;
+      });
+  if (cursor.sequence != sequence) {
+    throw cut_short(path_, cursor.offset, end.offset);
   }
-  return out;
+  return cursor;
 }
 
-bool ReplicationJournal::wait_for_entries(std::uint64_t after,
-                                          Millis timeout) const {
+void ReplicationJournal::read(Cursor& cursor, const Visitor& visit) const {
+  const std::uint64_t end = tip().offset;
+  bool refused = false;
+  const std::uint64_t stopped = scan_lines(
+      fd_, cursor.offset, end, [&](std::string_view line,
+                                   std::uint64_t next) {
+        auto entry = decode_line(line);
+        if (!entry.has_value() || entry->sequence != cursor.sequence + 1) {
+          throw IoError(fmt::format(
+              "journal '{}' is corrupt after sequence {}", path_.string(),
+              cursor.sequence));
+        }
+        if (!visit(*entry, line)) {
+          refused = true;
+          return false;
+        }
+        cursor = {entry->sequence, next};
+        return true;
+      });
+  // A cut file would otherwise leave `cursor` where it is, and a drain or
+  // a tail would spin on it.
+  if (!refused && stopped < end) throw cut_short(path_, stopped, end);
+}
+
+bool ReplicationJournal::wait_for_entries(
+    std::uint64_t after, Millis timeout,
+    const std::atomic<bool>* stop) const {
   std::unique_lock lock(mutex_);
-  return cv_.wait_for(lock, timeout,
-                      [&] { return last_sequence_ > after; });
+  (void)cv_.wait_for(lock, timeout, [&] {
+    return last_sequence_ > after || (stop != nullptr && stop->load());
+  });
+  return last_sequence_ > after;
+}
+
+void ReplicationJournal::wake_waiters() const {
+  const std::scoped_lock lock(mutex_);
+  cv_.notify_all();
 }
 
 }  // namespace myproxy::replication

@@ -9,29 +9,33 @@
 // *before* it is applied, and replicas tail the sequence over mutually
 // authenticated TLS.
 //
-// Durability reuses the store's discipline: SyncMode::kNone trusts the page
-// cache, kFsync issues fdatasync per append, and kGroup batches concurrent
-// appenders' flushes through a GroupCommitter exactly like the sharded
-// store's group-commit PUT path.
+// The file is the only copy of the journal: readers (the shipper, the
+// watermark replay) pread it back from a cursor, so memory stays bounded
+// however long the journal grows. Durability follows the store's
+// discipline: SyncMode::kNone trusts the page cache, kFsync issues
+// fdatasync per append.
 //
 // On-disk format (text, one record per line, debuggable with tail/grep):
 //   myproxy-journal-v1
 //   E <sequence> <type> <base64(payload)> <fnv1a64-hex>
+// The same entry line carries entries on the wire (replication/wire.hpp).
 // A torn tail — the crash happened mid-append — fails the checksum or line
 // framing; open() truncates the file back to the last intact record and the
 // next append continues the sequence from there.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <mutex>
+#include <optional>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "common/clock.hpp"
 #include "repository/credential_store.hpp"
-#include "repository/group_commit.hpp"
 
 namespace myproxy::replication {
 
@@ -42,13 +46,23 @@ enum class OpType : int {
   kRemoveAll = 3,  ///< payload = username
 };
 
-[[nodiscard]] std::string_view to_string(OpType type) noexcept;
-
 struct JournalEntry {
   std::uint64_t sequence = 0;
   OpType type = OpType::kPut;
   std::string payload;
 };
+
+/// The entry line, without its newline: "E <seq> <type> <base64(payload)>
+/// <fnv1a64-hex>", the checksum covering everything before it.
+[[nodiscard]] std::string encode_line(const JournalEntry& entry);
+
+/// Parse one entry line (without its newline); nullopt when it is torn,
+/// malformed or fails its checksum.
+[[nodiscard]] std::optional<JournalEntry> decode_line(std::string_view line);
+
+/// Bytes a journal read fetches per pread; a read holds one such chunk
+/// (more only while a single line is longer).
+inline constexpr std::size_t kJournalReadChunk = 64 * 1024;
 
 /// Apply one journal entry to a store (idempotent: re-applying a suffix of
 /// the journal after a crash converges to the same state). Shared by the
@@ -74,6 +88,18 @@ std::string write_sequence_file(const std::filesystem::path& path,
 
 class ReplicationJournal {
  public:
+  /// A reader's position: every entry through `sequence` has been read and
+  /// the next line starts at byte `offset`.
+  struct Cursor {
+    std::uint64_t sequence = 0;
+    std::uint64_t offset = 0;
+  };
+
+  /// Sees each entry a read reaches and its line (without the newline);
+  /// returning false stops the read before that entry.
+  using Visitor =
+      std::function<bool(const JournalEntry& entry, std::string_view line)>;
+
   /// Opens (or creates) the journal at `path`, recovering a torn tail if
   /// the previous writer died mid-append.
   explicit ReplicationJournal(
@@ -91,29 +117,34 @@ class ReplicationJournal {
   /// Sequence of the newest entry (0 = journal empty).
   [[nodiscard]] std::uint64_t last_sequence() const;
 
-  /// Sequence of the oldest entry this journal still holds;
-  /// last_sequence() + 1 when empty.
-  [[nodiscard]] std::uint64_t first_sequence() const;
+  /// Cursor past the newest entry.
+  [[nodiscard]] Cursor tip() const;
 
-  /// Entries with sequence > `after`, oldest first, at most `limit`.
-  [[nodiscard]] std::vector<JournalEntry> entries_after(
-      std::uint64_t after, std::size_t limit) const;
+  /// Cursor past entry `sequence` (the tip when `sequence` is beyond it),
+  /// found by counting lines from the start of the file. Throws IoError
+  /// when the file ends first.
+  [[nodiscard]] Cursor seek(std::uint64_t sequence) const;
 
-  /// Block until an entry with sequence > `after` exists (true) or
-  /// `timeout` elapses (false). Wakes promptly on append.
-  [[nodiscard]] bool wait_for_entries(std::uint64_t after,
-                                      Millis timeout) const;
+  /// Visit the entries after `cursor`, oldest first, up to the end the
+  /// journal had when the call began, moving `cursor` past each entry
+  /// `visit` accepts. Throws IoError when the file cannot be read, a line
+  /// fails its checksum, or the file ends before that end (it was
+  /// truncated under the journal).
+  void read(Cursor& cursor, const Visitor& visit) const;
+
+  /// Block until an entry with sequence > `after` exists (true), or
+  /// `timeout` elapses, or `stop` is set and wake_waiters() runs (false).
+  /// Wakes promptly on append.
+  [[nodiscard]] bool wait_for_entries(
+      std::uint64_t after, Millis timeout,
+      const std::atomic<bool>* stop = nullptr) const;
+
+  /// Make every wait_for_entries() call re-check its stop flag now.
+  void wake_waiters() const;
 
   /// Bytes discarded by torn-tail recovery at open (tests/operator logs).
   [[nodiscard]] std::uint64_t recovered_bytes() const {
     return recovered_bytes_;
-  }
-
-  [[nodiscard]] const std::filesystem::path& path() const { return path_; }
-
-  /// Group-commit batcher counters (meaningful when sync_mode == kGroup).
-  [[nodiscard]] const repository::GroupCommitter& committer() const {
-    return committer_;
   }
 
  private:
@@ -125,10 +156,9 @@ class ReplicationJournal {
 
   mutable std::mutex mutex_;
   mutable std::condition_variable cv_;
-  std::vector<JournalEntry> entries_;  ///< full in-memory copy, oldest first
   std::uint64_t last_sequence_ = 0;
+  std::uint64_t end_offset_ = 0;  ///< bytes of intact lines in the file
   std::uint64_t recovered_bytes_ = 0;
-  mutable repository::GroupCommitter committer_;
 };
 
 }  // namespace myproxy::replication

@@ -1,5 +1,7 @@
 #include "replication/replica_session.hpp"
 
+#include <sys/socket.h>
+
 #include "common/error.hpp"
 #include "common/format.hpp"
 #include "common/logging.hpp"
@@ -41,12 +43,9 @@ void ReplicaSession::start() {
 }
 
 void ReplicaSession::stop() {
-  if (stopping_.exchange(true)) {
-    if (thread_.joinable()) thread_.join();
-    return;
-  }
-  {
+  if (!stopping_.exchange(true)) {
     const std::scoped_lock lock(mutex_);
+    if (stream_fd_ >= 0) (void)::shutdown(stream_fd_, SHUT_RDWR);
     cv_.notify_all();
   }
   if (thread_.joinable()) thread_.join();
@@ -97,6 +96,18 @@ void ReplicaSession::sync_once() {
       tls_context_, net::tcp_connect(config_.primary_port,
                                      config_.connect_timeout),
       config_.io_timeout);
+  {
+    const std::scoped_lock lock(mutex_);
+    if (stopping_.load()) return;
+    stream_fd_ = channel->fd();
+  }
+  struct Unregister {
+    ReplicaSession& session;
+    ~Unregister() {
+      const std::scoped_lock lock(session.mutex_);
+      session.stream_fd_ = -1;
+    }
+  } unregister{*this};
   // Mutual authentication (§5.1): the primary must prove it is the
   // repository we were configured to follow before we accept its records.
   const pki::VerifiedIdentity primary =

@@ -43,8 +43,7 @@ struct ReplicaConfig {
   Millis connect_timeout{5000};
 
   /// Per-read deadline on the stream. The primary heartbeats every second,
-  /// so a silent connection this old is dead and worth re-dialing; it also
-  /// bounds stop() latency.
+  /// so a silent connection this old is dead and worth re-dialing.
   Millis io_timeout{5000};
 
   /// Reconnect backoff (doubles up to the max after repeated failures).
@@ -117,6 +116,9 @@ class ReplicaSession {
   std::atomic<bool> stopping_{false};
   mutable std::mutex mutex_;
   mutable std::condition_variable cv_;
+  /// Socket of the live stream, -1 between connections (guarded by
+  /// mutex_): stop() shuts it down so a blocked receive() returns at once.
+  int stream_fd_ = -1;
 
   ReplicaStats stats_;
 };

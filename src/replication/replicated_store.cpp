@@ -33,16 +33,18 @@ ReplicatedStore::ReplicatedStore(
                 "ReplicatedStore requires a store and a journal");
   }
   // Crash recovery: re-apply every journaled operation the store is not
-  // known to contain. apply order = journal order, ending at the tip, so a
-  // replayed prefix of stale operations converges onto the current state.
+  // known to contain, read back from the journal file a chunk at a time.
+  // apply order = journal order, ending at the tip, so a replayed prefix
+  // of stale operations converges onto the current state.
   const std::uint64_t watermark =
       watermark_path_.empty() ? 0 : read_sequence_file(watermark_path_);
-  for (const auto& entry :
-       journal_->entries_after(watermark, static_cast<std::size_t>(-1))) {
+  auto cursor = journal_->seek(watermark);
+  journal_->read(cursor, [this](const JournalEntry& entry, std::string_view) {
     apply_entry(*inner_, entry);
     ++replayed_;
-  }
-  watermark_ = journal_->last_sequence();
+    return true;
+  });
+  watermark_ = cursor.sequence;
   highest_journaled_ = watermark_;
   if (replayed_ > 0) {
     log::info(kLogComponent,

@@ -1,6 +1,5 @@
 #include "replication/shipper.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/error.hpp"
@@ -8,22 +7,29 @@
 
 namespace myproxy::replication {
 
+namespace {
+
+/// A follower with nothing to ship sends an empty batch this often.
+constexpr Millis kHeartbeat{1000};
+
+}  // namespace
+
 Shipper::Shipper(const ReplicationJournal& journal, net::Channel& peer,
                  std::size_t batch_limit,
                  std::function<bool(std::string_view)> filter)
     : journal_(journal),
       peer_(peer),
-      batch_limit_(std::max<std::size_t>(batch_limit, 1)),
       filter_(std::move(filter)),
-      cursor_(journal.last_sequence()) {}
+      frame_(batch_limit),
+      cursor_(journal.tip()) {}
 
-void Shipper::post(std::vector<JournalEntry> entries) {
-  shipped_ += entries.size();
-  peer_.send(encode_batch({journal_.last_sequence(), std::move(entries)}));
+void Shipper::post() {
+  shipped_ += frame_.size();
+  peer_.send(frame_.take(journal_.last_sequence()));
 }
 
-std::uint64_t Shipper::send(std::vector<JournalEntry> entries) {
-  post(std::move(entries));
+std::uint64_t Shipper::send() {
+  post();
   return decode_ack(peer_.receive());
 }
 
@@ -31,62 +37,58 @@ void Shipper::copy(const repository::CredentialStore& store) {
   // Each batch's ack is read only after the next batch is sent, so the peer
   // applies one batch while this side reads and serializes the next. Sent
   // batches are not kept: this side still holds at most one.
-  std::vector<JournalEntry> batch;
-  std::size_t bytes = 0;
   bool unacked = false;
   const auto flush = [&] {
-    post(std::exchange(batch, {}));
-    bytes = 0;
+    post();
     if (unacked) (void)decode_ack(peer_.receive());
     unacked = true;
   };
   for (const auto& username : store.usernames()) {
     if (filter_ && !filter_(username)) continue;
     for (const auto& record : store.list(username)) {
-      batch.push_back({0, OpType::kPut, record.serialize()});
-      bytes += batch.back().payload.size();
-      // Base64 grows payloads by a third; half the frame cap leaves room.
-      if (batch.size() >= batch_limit_ || bytes >= net::kMaxMessageSize / 2) {
+      const std::string line = encode_line({0, OpType::kPut,
+                                            record.serialize()});
+      if (!frame_.add(line)) {
         flush();
+        (void)frame_.add(line);
       }
     }
   }
-  if (!batch.empty()) flush();
+  if (!frame_.empty()) flush();
   if (unacked) (void)decode_ack(peer_.receive());
 }
 
-std::vector<JournalEntry> Shipper::next() {
-  auto entries = journal_.entries_after(cursor_, batch_limit_);
-  if (!entries.empty()) cursor_ = entries.back().sequence;
-  std::erase_if(entries, [this](const JournalEntry& entry) {
-    return filter_ && !filter_(entry_username(entry));
+void Shipper::fill(std::uint64_t last) {
+  journal_.read(cursor_, [&](const JournalEntry& entry,
+                             std::string_view line) {
+    if (entry.sequence > last) return false;
+    if (filter_ && !filter_(entry_username(entry))) return true;
+    return frame_.add(line);
   });
-  return entries;
 }
 
 void Shipper::drain() {
   const std::uint64_t tip = journal_.last_sequence();
-  while (cursor_ < tip) {
-    const std::uint64_t before = cursor_;
-    auto entries = next();
-    if (cursor_ == before) break;
-    if (!entries.empty()) (void)send(std::move(entries));
+  while (cursor_.sequence < tip) {
+    fill(tip);
+    if (!frame_.empty()) (void)send();
   }
 }
 
 void Shipper::finish() {
-  peer_.send(encode_copy_end({cursor_, shipped_}));
+  peer_.send(encode_copy_end({cursor_.sequence, shipped_}));
   (void)decode_ack(peer_.receive());
 }
 
 void Shipper::follow(
     const std::atomic<bool>& stopping,
     const std::function<void(std::uint64_t, std::size_t)>& on_ack) {
-  while (!stopping.load()) {
-    (void)journal_.wait_for_entries(cursor_, Millis(1000));
-    auto entries = next();
-    const std::size_t count = entries.size();
-    on_ack(send(std::move(entries)), count);
+  while (true) {
+    (void)journal_.wait_for_entries(cursor_.sequence, kHeartbeat, &stopping);
+    if (stopping.load()) return;
+    fill(journal_.last_sequence());
+    const std::size_t count = frame_.size();
+    on_ack(send(), count);
   }
 }
 

@@ -1,7 +1,9 @@
 // Copy-then-tail shipper, the one path that copies a credential store to a
 // peer. REPLICA_SYNC ships the whole store and then follows the journal;
 // MIGRATE ships one shard, then drains the journal up to a bounded tip.
-// Frames are replication/wire.hpp's. The cursor is the journal tip taken
+// Frames are replication/wire.hpp's, filled by its BatchBuilder, so a copy
+// and a tail cut frames by the same rule. The tail reads the journal file
+// back from the shipper's own cursor, which starts at the journal tip taken
 // before the copy reads the store: ReplicatedStore's stripes make the copy
 // hold every operation up to it, and later ones that leak into the copy
 // are shipped again by the tail, whose replay in journal order converges.
@@ -11,7 +13,6 @@
 #include <cstdint>
 #include <functional>
 #include <string_view>
-#include <vector>
 
 #include "net/channel.hpp"
 #include "replication/journal.hpp"
@@ -28,11 +29,12 @@ class Shipper {
           std::function<bool(std::string_view)> filter = {});
 
   /// Journal sequence shipped through.
-  [[nodiscard]] std::uint64_t cursor() const { return cursor_; }
+  [[nodiscard]] std::uint64_t cursor() const { return cursor_.sequence; }
   /// Entries shipped so far.
   [[nodiscard]] std::uint64_t shipped() const { return shipped_; }
-  /// Tail from `cursor` without a copy (a replica resuming at its offset).
-  void seek(std::uint64_t cursor) { cursor_ = cursor; }
+  /// Tail from `sequence` without a copy (a replica resuming at its
+  /// offset); scans the journal from its start once.
+  void seek(std::uint64_t sequence) { cursor_ = journal_.seek(sequence); }
 
   /// Ship every accepted record as a put entry with sequence 0, holding
   /// one batch at a time.
@@ -43,25 +45,27 @@ class Shipper {
   /// and wait for its ack.
   void finish();
   /// Ship journal entries as they arrive, and an empty heartbeat batch
-  /// after a quiet second, until `stopping` is set or the peer fails
-  /// (IoError). `on_ack(acked, entries)` runs after each batch.
+  /// after a quiet second, until `stopping` is set (with the journal's
+  /// wake_waiters(), so it returns at once) or the peer fails (IoError).
+  /// `on_ack(acked, entries)` runs after each batch.
   void follow(const std::atomic<bool>& stopping,
               const std::function<void(std::uint64_t, std::size_t)>& on_ack);
 
  private:
-  /// The next journal entries after the cursor that pass the filter; the
-  /// cursor moves past every entry read.
-  std::vector<JournalEntry> next();
-  /// One BATCH frame, without waiting for its ack.
-  void post(std::vector<JournalEntry> entries);
-  /// One BATCH frame; returns the peer's ack.
-  std::uint64_t send(std::vector<JournalEntry> entries);
+  /// Fill the frame with the journal entries after the cursor, through
+  /// sequence `last`, that pass the filter; the cursor moves past every
+  /// entry read.
+  void fill(std::uint64_t last);
+  /// Send the frame, without waiting for its ack.
+  void post();
+  /// Send the frame; returns the peer's ack.
+  std::uint64_t send();
 
   const ReplicationJournal& journal_;
   net::Channel& peer_;
-  std::size_t batch_limit_;
   std::function<bool(std::string_view)> filter_;
-  std::uint64_t cursor_;
+  BatchBuilder frame_;
+  ReplicationJournal::Cursor cursor_;
   std::uint64_t shipped_ = 0;
 };
 

@@ -1,11 +1,12 @@
 #include "replication/wire.hpp"
 
+#include <algorithm>
 #include <charconv>
 
-#include "common/encoding.hpp"
 #include "common/error.hpp"
 #include "common/format.hpp"
 #include "common/strings.hpp"
+#include "net/channel.hpp"
 
 namespace myproxy::replication {
 
@@ -48,16 +49,12 @@ ReplicationRole replication_role_from_string(std::string_view text) {
                   text));
 }
 
-std::string encode_batch(const Batch& batch) {
-  std::string out = fmt::format("BATCH {} {}\n", batch.primary_last_sequence,
-                                batch.entries.size());
-  for (const auto& entry : batch.entries) {
-    out += fmt::format("E {} {} {}\n", entry.sequence,
-                       static_cast<int>(entry.type),
-                       encoding::base64_encode(entry.payload));
-  }
-  return out;
-}
+namespace {
+
+/// Room kept for the "BATCH <tip> <count>\n" header: two 20-digit numbers.
+constexpr std::size_t kHeaderRoom = 64;
+
+}  // namespace
 
 Batch decode_batch(std::string_view message) {
   const auto lines = strings::split(message, '\n');
@@ -74,22 +71,39 @@ Batch decode_batch(std::string_view message) {
     if (i + 1 >= lines.size()) {
       throw ProtocolError("replication batch shorter than its count");
     }
-    const auto parts = strings::split(lines[i + 1], ' ');
-    if (parts.size() != 4 || parts[0] != "E") {
-      throw ProtocolError(
-          fmt::format("bad replication entry line '{}'", lines[i + 1]));
+    auto entry = decode_line(lines[i + 1]);
+    if (!entry.has_value()) {
+      throw ProtocolError(fmt::format(
+          "replication batch entry {} is malformed or fails its checksum",
+          i));
     }
-    JournalEntry entry;
-    entry.sequence = parse_u64(parts[1], "entry sequence");
-    const std::uint64_t type = parse_u64(parts[2], "entry type");
-    if (type < 1 || type > 3) {
-      throw ProtocolError(fmt::format("unknown journal op type {}", type));
-    }
-    entry.type = static_cast<OpType>(type);
-    entry.payload = encoding::base64_decode_string(parts[3]);
-    batch.entries.push_back(std::move(entry));
+    batch.entries.push_back(std::move(*entry));
   }
   return batch;
+}
+
+BatchBuilder::BatchBuilder(std::size_t limit)
+    : limit_(std::max<std::size_t>(limit, 1)) {}
+
+bool BatchBuilder::add(std::string_view line) {
+  if (count_ >= limit_ ||
+      (count_ > 0 && kHeaderRoom + lines_.size() + line.size() + 1 >
+                         net::kMaxMessageSize)) {
+    return false;
+  }
+  lines_ += line;
+  lines_ += '\n';
+  ++count_;
+  return true;
+}
+
+std::string BatchBuilder::take(std::uint64_t primary_last_sequence) {
+  std::string frame =
+      fmt::format("BATCH {} {}\n", primary_last_sequence, count_);
+  frame += lines_;
+  lines_.clear();
+  count_ = 0;
+  return frame;
 }
 
 std::string encode_ack(std::uint64_t last_applied) {

@@ -2,13 +2,13 @@
 // sub-protocol"), shared by REPLICA_SYNC and MIGRATE_INSTALL. After the
 // request/response exchange the connection stays open and alternates:
 //   sender:    one batch message  "BATCH <primary_last_seq> <count>\n"
-//              followed by <count> entry lines "E <seq> <type> <base64>\n"
-//              (count may be 0: a heartbeat carrying the primary's tip so
-//              the replica can track its lag)
+//              followed by <count> journal entry lines, each
+//              "E <seq> <type> <base64> <fnv1a64-hex>\n" exactly as the
+//              journal file holds it (count may be 0: a heartbeat carrying
+//              the primary's tip so the replica can track its lag)
 //   receiver:  one ack message    "ACK <n>\n"
-// Messages ride the usual 4-byte length-framed channel; TLS provides
-// integrity, so entries are not re-checksummed on the wire (the journal
-// checksums protect the at-rest copy).
+// Messages ride the usual 4-byte length-framed channel. The receiver
+// verifies every entry's checksum and refuses the batch when one fails.
 // A shipment (replication/shipper.hpp) copies a store as batches of put
 // entries with sequence 0, then ends with the acked frame
 // "COPY_END <seq> <entries>\n": the receiver now holds every journaled
@@ -41,8 +41,31 @@ struct Batch {
   std::vector<JournalEntry> entries;
 };
 
-[[nodiscard]] std::string encode_batch(const Batch& batch);
 [[nodiscard]] Batch decode_batch(std::string_view message);
+
+/// A BATCH frame being filled, the one batching rule of a store copy and
+/// a journal tail: it takes entry lines until it holds `limit` of them or
+/// the next would take the frame past net::kMaxMessageSize.
+class BatchBuilder {
+ public:
+  explicit BatchBuilder(std::size_t limit);
+
+  /// Add one entry line (without its newline); false, adding nothing,
+  /// when the frame is full. An empty frame takes any line.
+  bool add(std::string_view line);
+
+  [[nodiscard]] std::size_t size() const { return count_; }
+  [[nodiscard]] bool empty() const { return count_ == 0; }
+
+  /// The frame, announcing `primary_last_sequence`; the builder is left
+  /// empty.
+  [[nodiscard]] std::string take(std::uint64_t primary_last_sequence);
+
+ private:
+  std::size_t limit_;
+  std::size_t count_ = 0;
+  std::string lines_;
+};
 
 [[nodiscard]] std::string encode_ack(std::uint64_t last_applied);
 [[nodiscard]] std::uint64_t decode_ack(std::string_view message);

@@ -128,8 +128,6 @@ std::string_view to_string(SyncMode mode) noexcept {
       return "none";
     case SyncMode::kFsync:
       return "fsync";
-    case SyncMode::kGroup:
-      return "group";
   }
   return "?";
 }
@@ -137,9 +135,7 @@ std::string_view to_string(SyncMode mode) noexcept {
 SyncMode sync_mode_from_string(std::string_view text) {
   if (text == "none") return SyncMode::kNone;
   if (text == "fsync") return SyncMode::kFsync;
-  if (text == "group") return SyncMode::kGroup;
-  throw ParseError(
-      fmt::format("unknown sync mode '{}' (none|fsync|group)", text));
+  throw ParseError(fmt::format("unknown sync mode '{}' (none|fsync)", text));
 }
 
 std::string CredentialRecord::make_key(std::string_view username,
@@ -774,25 +770,18 @@ void FileCredentialStore::sync_file(const std::filesystem::path& path) {
     throw IoError(fmt::format("cannot open {} for sync: {}", path.string(),
                               std::strerror(errno)));
   }
-  try {
-    if (sync_mode_ == SyncMode::kGroup) {
-      committer_.sync({fd}, /*data_only=*/true);
-    } else if (::fdatasync(fd) != 0) {
-      throw IoError(fmt::format("fdatasync failed for {}: {}", path.string(),
-                                std::strerror(errno)));
-    }
-  } catch (...) {
-    ::close(fd);
-    throw;
-  }
+  const int rc = ::fdatasync(fd);
+  const int error = errno;
   ::close(fd);
+  if (rc != 0) {
+    throw IoError(fmt::format("fdatasync failed for {}: {}", path.string(),
+                              std::strerror(error)));
+  }
 }
 
 void FileCredentialStore::sync_dir(const Shard& shard) {
   if (sync_mode_ == SyncMode::kNone) return;
-  if (sync_mode_ == SyncMode::kGroup) {
-    committer_.sync({shard.dir_fd}, /*data_only=*/false);
-  } else if (::fsync(shard.dir_fd) != 0) {
+  if (::fsync(shard.dir_fd) != 0) {
     throw IoError(fmt::format("fsync failed for shard directory {}: {}",
                               shard.dir.string(), std::strerror(errno)));
   }
@@ -805,8 +794,8 @@ void FileCredentialStore::put(const CredentialRecord& record) {
   const std::filesystem::path path = shard.dir / file_name;
   // Unique temp name: the write and its fdatasync happen *outside* the
   // shard lock (so same-shard writers only serialize on the cheap
-  // rename+index step, and group commit can actually batch them), which
-  // means concurrent puts of the same key must not share a temp file.
+  // rename+index step), which means concurrent puts of the same key must
+  // not share a temp file.
   const std::filesystem::path tmp =
       shard.dir / fmt::format("{}.{}.tmp", file_name,
                               tmp_seq_.fetch_add(1,

@@ -12,9 +12,9 @@
 //  * FileCredentialStore — the production layout: one file per record,
 //    fanned out over hashed shard directories with striped reader/writer
 //    locks, an in-memory metadata index built by a parallel scan at
-//    startup, and configurable commit durability (none / fsync / group
-//    commit). A store written by the legacy flat layout is migrated into
-//    the sharded layout transparently on first open.
+//    startup, and configurable commit durability (none / fsync). A store
+//    written by the legacy flat layout is migrated into the sharded layout
+//    transparently on first open.
 //  * FlatFileCredentialStore — the legacy flat layout behind one global
 //    mutex. Kept as the migration source, the myproxy-admin-query
 //    compatibility path, and the baseline the store-scale benchmark
@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "common/clock.hpp"
-#include "repository/group_commit.hpp"
 #include "repository/otp.hpp"
 
 namespace myproxy::repository {
@@ -62,7 +61,6 @@ enum class Sealing {
 enum class SyncMode {
   kNone,   ///< rename only; a host crash may lose the last writes
   kFsync,  ///< fdatasync(temp) before and fsync(shard dir) after the rename
-  kGroup,  ///< like kFsync, but flushes batched across concurrent writers
 };
 
 [[nodiscard]] std::string_view to_string(SyncMode mode) noexcept;
@@ -280,9 +278,6 @@ class FileCredentialStore final : public CredentialStore {
   };
   [[nodiscard]] const ScanReport& scan_report() const { return scan_report_; }
 
-  /// Group-commit batcher counters (meaningful when sync_mode == kGroup).
-  [[nodiscard]] const GroupCommitter& committer() const { return committer_; }
-
  private:
   struct IndexEntry {
     std::string file_name;      ///< within the shard directory
@@ -335,7 +330,6 @@ class FileCredentialStore final : public CredentialStore {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<std::size_t> size_{0};
   std::atomic<std::uint64_t> tmp_seq_{0};
-  mutable GroupCommitter committer_;
   ScanReport scan_report_;
   /// Guards scan_report_ during the parallel scan (read-only afterwards).
   std::mutex scan_mutex_;

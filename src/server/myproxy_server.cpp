@@ -316,6 +316,8 @@ void MyProxyServer::start() {
 
 void MyProxyServer::stop() {
   if (stopping_.exchange(true)) return;
+  // Replica streams wait on the journal between heartbeats; wake them.
+  if (config_.journal != nullptr) config_.journal->wake_waiters();
   // Stop the event loops first (~Reactor: eventfd wakeup + join); that also
   // deregisters the listeners, cancels the housekeeping timers and drops
   // any connections and scrapes still in progress. Before the pools: a
@@ -1115,13 +1117,12 @@ void MyProxyServer::handle_replica_sync(net::Channel& channel,
 
   replication::Shipper shipper(journal, channel, config_.replication_batch);
   const std::uint64_t replica_seq = request.sequence;
-  // The journal can tail the replica only from an offset it still covers;
-  // anything else — fresh replica, or an offset past/before the journal —
-  // needs a full snapshot. (sequence == 0 always snapshots: the store may
-  // hold records that predate the journal.)
-  const bool need_snapshot = replica_seq == 0 ||
-                             replica_seq + 1 < journal.first_sequence() ||
-                             replica_seq > journal.last_sequence();
+  // The journal is never trimmed, so it can tail any offset up to its
+  // tip; a fresh replica or one past the tip needs a full snapshot.
+  // (sequence == 0 always snapshots: the store may hold records that
+  // predate the journal.)
+  const bool need_snapshot =
+      replica_seq == 0 || replica_seq > journal.last_sequence();
   Response response;
   std::string detail;
   if (need_snapshot) {

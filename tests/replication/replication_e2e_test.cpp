@@ -347,6 +347,35 @@ TEST_F(ReplicationE2ETest, IntactStateFileResumesTailWithoutSnapshot) {
   EXPECT_EQ(replica_repo_->size(), 2u);
 }
 
+TEST_F(ReplicationE2ETest, ReplicaResumingFarBehindTheTipCatchesUpRecordForRecord) {
+  // A replica resuming at an old sequence is positioned by one scan from
+  // the start of the journal file, then tails more than 20 batches of it.
+  restart_primary_with_batch(8);
+  auto& store = primary_repo_->store_mutable();
+  store.put(make_record("early", "seed"));
+  start_replica();
+  wait_for_catchup();
+  stop_replica();
+  replica_.reset();
+  const std::uint64_t resume_at = journal_->last_sequence();
+
+  for (int i = 0; i < 200; ++i) {
+    const std::string username = fmt::format("user-{}", i % 70);
+    if (i % 9 == 8) {
+      (void)store.remove_all(username);
+    } else {
+      store.put(make_record(username, fmt::format("owner-{}", i)));
+    }
+  }
+  ASSERT_GE(journal_->last_sequence() - resume_at, 20u * 8u);
+
+  start_replica();
+  wait_for_catchup();
+  EXPECT_EQ(replica_->replica_session()->stats().snapshots_installed.load(),
+            0u);
+  EXPECT_EQ(contents(replica_repo_->store()), contents(primary_repo_->store()));
+}
+
 TEST_F(ReplicationE2ETest, StatsCommandReportsRolesAndReplicationState) {
   const auto alice = make_user("repl-stats-alice");
   put_credential(alice, "alice");
@@ -503,6 +532,55 @@ TEST_F(ReplicationE2ETest, RecordPerFrameSnapshotFailsWithoutAdvancingState) {
   EXPECT_EQ(session.stats().last_applied_sequence.load(), 0u);
   EXPECT_FALSE(std::filesystem::exists(config.state_file));
   EXPECT_EQ(store.size(), 0u);
+}
+
+TEST_F(ReplicationE2ETest, ChecksumlessEntryLinesFailWithoutAdvancingState) {
+  // A primary from before BATCH entry lines carried the journal checksum:
+  // it tails the replica with "E <seq> <type> <base64>" lines.
+  std::optional<net::TcpListener> listener(net::TcpListener::bind(0));
+  const std::uint16_t port = listener->port();
+  const auto old_primary_credential =
+      make_service("/C=US/O=Grid/OU=Services/CN=old-primary.grid.test");
+  std::thread old_primary([&] {
+    const auto context = tls::TlsContext::make(old_primary_credential);
+    auto channel =
+        tls::TlsChannel::accept(context, listener->accept(), Millis(5000));
+    (void)protocol::Request::parse(channel->receive());
+    protocol::Response response;
+    response.fields["MODE"] = "tail";
+    channel->send(response.serialize());
+    channel->send("BATCH 6 1\nE 6 3 Ym9i\n");  // remove_all "bob"
+    try {
+      (void)channel->receive();  // returns when the replica hangs up
+    } catch (const Error&) {
+    }
+    listener.reset();  // later dials are refused
+  });
+
+  std::ostringstream log_text;
+  log::Logger::instance().set_sink(&log_text);
+  replication::ReplicaConfig config;
+  config.primary_port = port;
+  config.state_file = dir_ / "old-primary.state";
+  config.reconnect_backoff = Millis(50);
+  ASSERT_TRUE(replication::write_sequence_file(config.state_file, 5).empty());
+  repository::MemoryCredentialStore store;
+  store.put(make_record("bob", "bob"));
+  replication::ReplicaSession session(make_service(std::string(kReplicaDn)),
+                                      make_trust_store(), store, config);
+  session.start();
+  old_primary.join();
+  EXPECT_TRUE(eventually(
+      [&] { return session.stats().reconnects.load() >= 1; }));
+  session.stop();
+  log::Logger::instance().set_sink(nullptr);
+
+  EXPECT_NE(log_text.str().find("fails its checksum"), std::string::npos)
+      << log_text.str();
+  EXPECT_EQ(session.stats().ops_applied.load(), 0u);
+  EXPECT_EQ(session.stats().last_applied_sequence.load(), 5u);
+  EXPECT_EQ(replication::read_sequence_file(config.state_file), 5u);
+  EXPECT_EQ(store.size(), 1u);
 }
 
 TEST_F(ReplicationE2ETest, ReplicaStreamLifetimeIsNotChargedAsOpLatency) {

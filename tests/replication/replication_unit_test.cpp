@@ -9,10 +9,12 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <thread>
 
 #include "common/error.hpp"
 #include "common/mutation.hpp"
+#include "common/strings.hpp"
 #include "net/socket.hpp"
 #include "replication/journal.hpp"
 #include "replication/replicated_store.hpp"
@@ -56,13 +58,33 @@ class ScratchDir {
   std::filesystem::path path_;
 };
 
+/// Entries after `after`, read back from the journal file.
+std::vector<JournalEntry> entries_after(const ReplicationJournal& journal,
+                                        std::uint64_t after) {
+  std::vector<JournalEntry> out;
+  auto cursor = journal.seek(after);
+  journal.read(cursor, [&](const JournalEntry& entry, std::string_view) {
+    out.push_back(entry);
+    return true;
+  });
+  return out;
+}
+
+/// `batch` as a BATCH frame, built the way the shipper builds one.
+std::string batch_frame(const Batch& batch) {
+  BatchBuilder builder(batch.entries.size());
+  for (const auto& entry : batch.entries) {
+    EXPECT_TRUE(builder.add(encode_line(entry)));
+  }
+  return builder.take(batch.primary_last_sequence);
+}
+
 TEST(ReplicationJournal, AppendAssignsDenseSequencesAndSurvivesReopen) {
   const ScratchDir dir("journal-reopen");
   const auto path = dir / "journal.log";
   {
     ReplicationJournal journal(path);
     EXPECT_EQ(journal.last_sequence(), 0u);
-    EXPECT_EQ(journal.first_sequence(), 1u);
     EXPECT_EQ(journal.append(OpType::kPut, "payload-1"), 1u);
     EXPECT_EQ(journal.append(OpType::kRemove, "payload-2"), 2u);
     EXPECT_EQ(journal.append(OpType::kRemoveAll, ""), 3u);
@@ -71,7 +93,7 @@ TEST(ReplicationJournal, AppendAssignsDenseSequencesAndSurvivesReopen) {
   ReplicationJournal journal(path);
   EXPECT_EQ(journal.last_sequence(), 3u);
   EXPECT_EQ(journal.recovered_bytes(), 0u);
-  const auto entries = journal.entries_after(0, 100);
+  const auto entries = entries_after(journal, 0);
   ASSERT_EQ(entries.size(), 3u);
   EXPECT_EQ(entries[0].sequence, 1u);
   EXPECT_EQ(entries[0].type, OpType::kPut);
@@ -80,10 +102,31 @@ TEST(ReplicationJournal, AppendAssignsDenseSequencesAndSurvivesReopen) {
   EXPECT_EQ(entries[2].type, OpType::kRemoveAll);
   EXPECT_TRUE(entries[2].payload.empty());
 
-  const auto tail = journal.entries_after(2, 100);
+  const auto tail = entries_after(journal, 2);
   ASSERT_EQ(tail.size(), 1u);
   EXPECT_EQ(tail[0].sequence, 3u);
-  EXPECT_EQ(journal.entries_after(1, 1).size(), 1u);  // limit respected
+  // A read stops before the first entry its visitor refuses.
+  auto cursor = journal.seek(1);
+  journal.read(cursor, [](const JournalEntry& entry, std::string_view) {
+    return entry.sequence < 3;
+  });
+  EXPECT_EQ(cursor.sequence, 2u);
+}
+
+TEST(ReplicationJournal, ReopeningAnEmptyJournalKeepsLaterEntries) {
+  // A primary restarted before its first write, then written to and
+  // restarted again, keeps every entry.
+  const ScratchDir dir("journal-empty-reopen");
+  const auto path = dir / "journal.log";
+  { const ReplicationJournal journal(path); }
+  {
+    ReplicationJournal journal(path);
+    EXPECT_EQ(journal.recovered_bytes(), 0u);
+    EXPECT_EQ(journal.append(OpType::kPut, "kept"), 1u);
+  }
+  const ReplicationJournal journal(path);
+  EXPECT_EQ(journal.recovered_bytes(), 0u);
+  EXPECT_EQ(journal.last_sequence(), 1u);
 }
 
 TEST(ReplicationJournal, TruncatedTailIsDiscardedAndSequenceContinues) {
@@ -104,7 +147,7 @@ TEST(ReplicationJournal, TruncatedTailIsDiscardedAndSequenceContinues) {
   EXPECT_GT(journal.recovered_bytes(), 0u);
   EXPECT_EQ(journal.last_sequence(), 2u);
   EXPECT_EQ(journal.append(OpType::kPut, "after-crash"), 3u);
-  const auto entries = journal.entries_after(0, 100);
+  const auto entries = entries_after(journal, 0);
   ASSERT_EQ(entries.size(), 3u);
   EXPECT_EQ(entries[2].payload, "after-crash");
 }
@@ -127,7 +170,7 @@ TEST(ReplicationJournal, CorruptedChecksumTruncatesToLastIntactRecord) {
   ReplicationJournal journal(path);
   EXPECT_GT(journal.recovered_bytes(), 0u);
   EXPECT_EQ(journal.last_sequence(), 1u);
-  const auto entries = journal.entries_after(0, 100);
+  const auto entries = entries_after(journal, 0);
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_EQ(entries[0].payload, "kept");
 }
@@ -150,7 +193,7 @@ TEST(ReplicationWire, BatchRoundTripPreservesEntriesAndBinaryPayloads) {
   batch.entries.push_back({7, OpType::kPut, std::string("a\0b\nc", 5)});
   batch.entries.push_back({8, OpType::kRemoveAll, ""});
 
-  const Batch back = decode_batch(encode_batch(batch));
+  const Batch back = decode_batch(batch_frame(batch));
   EXPECT_EQ(back.primary_last_sequence, 42u);
   ASSERT_EQ(back.entries.size(), 2u);
   EXPECT_EQ(back.entries[0].sequence, 7u);
@@ -163,7 +206,7 @@ TEST(ReplicationWire, BatchRoundTripPreservesEntriesAndBinaryPayloads) {
 TEST(ReplicationWire, HeartbeatIsAnEmptyBatch) {
   Batch heartbeat;
   heartbeat.primary_last_sequence = 9;
-  const Batch back = decode_batch(encode_batch(heartbeat));
+  const Batch back = decode_batch(batch_frame(heartbeat));
   EXPECT_EQ(back.primary_last_sequence, 9u);
   EXPECT_TRUE(back.entries.empty());
 }
@@ -179,10 +222,43 @@ TEST(ReplicationWire, CopyEndRoundTripAndGarbageRejected) {
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->sequence, 17u);
   EXPECT_EQ(back->entries, 50u);
-  EXPECT_FALSE(decode_copy_end(encode_batch({})).has_value());
+  EXPECT_FALSE(decode_copy_end(batch_frame({})).has_value());
   EXPECT_FALSE(decode_copy_end("ACK 5\n").has_value());
   EXPECT_THROW((void)decode_copy_end("COPY_END 17\n"), ProtocolError);
   EXPECT_THROW((void)decode_copy_end("COPY_END -1 2\n"), ProtocolError);
+}
+
+TEST(ReplicationWire, BatchEntryLineIsTheJournalLine) {
+  // A BATCH entry line is byte for byte the journal's line, checksum
+  // included, and the receiver refuses one whose checksum fails.
+  const ScratchDir dir("wire-line");
+  const auto path = dir / "journal.log";
+  const JournalEntry entry{1, OpType::kPut, std::string("x\0y\nz", 5)};
+  {
+    ReplicationJournal journal(path);
+    ASSERT_EQ(journal.append(entry.type, entry.payload), 1u);
+  }
+  std::ifstream in(path, std::ios::binary);
+  std::string header;
+  std::string line;
+  ASSERT_TRUE(std::getline(in, header));
+  ASSERT_TRUE(std::getline(in, line));
+
+  const std::string frame = "BATCH 7 1\n" + line + "\n";
+  EXPECT_EQ(batch_frame({7, {entry}}), frame);
+  const Batch back = decode_batch(frame);
+  ASSERT_EQ(back.entries.size(), 1u);
+  EXPECT_EQ(back.entries[0].sequence, 1u);
+  EXPECT_EQ(back.entries[0].payload, entry.payload);
+
+  std::string forged = line;
+  forged.back() = forged.back() == '0' ? '1' : '0';
+  EXPECT_THROW((void)decode_batch("BATCH 7 1\n" + forged + "\n"),
+               ProtocolError);
+  // The entry line of the previous wire format carried no checksum.
+  EXPECT_THROW((void)decode_batch("BATCH 7 1\n" +
+                                  line.substr(0, line.rfind(' ')) + "\n"),
+               ProtocolError);
 }
 
 TEST(ReplicationJournal, EntryUsernameDecodesEveryOpType) {
@@ -313,6 +389,65 @@ TEST(ReplicationShipper, CopyCutsFramesBelowTheMessageCap) {
   EXPECT_LT(receiver.largest, 40u);
 }
 
+TEST(ReplicationShipper, TailCutsFramesBelowTheMessageCap) {
+  // The journal tail of 40 RSA-sized 64 KiB records, shipped with
+  // replication_batch 1000: one frame of all of them would be ~3.4 MiB.
+  const ScratchDir dir("shipper-tail-cap");
+  auto journal = std::make_shared<ReplicationJournal>(dir / "journal.log");
+  ReplicatedStore source(
+      std::make_unique<repository::MemoryCredentialStore>(), journal);
+  auto [a, b] = net::socket_pair();
+  net::PlainChannel sender(std::move(a));
+  BatchSizeChannel receiver(std::move(b));
+  repository::MemoryCredentialStore target;
+  std::thread peer([&] {
+    try {
+      (void)receive_shipment(receiver, target);
+    } catch (const Error&) {
+    }
+  });
+  Shipper shipper(*journal, sender, 1000);
+  for (int i = 0; i < 40; ++i) {
+    auto record = make_record("big-" + std::to_string(i));
+    record.blob.assign(64 * 1024, static_cast<std::uint8_t>(i));
+    source.put(record);
+  }
+  EXPECT_NO_THROW({
+    shipper.drain();
+    shipper.finish();
+  });
+  sender.close();  // releases the peer if the drain failed
+  peer.join();
+  EXPECT_EQ(target.size(), 40u);
+  EXPECT_GT(receiver.largest, 1u);
+  EXPECT_LT(receiver.largest, 40u);
+}
+
+TEST(ReplicationShipper, JournalFileCutUnderTheJournalFailsReadsAndDrains) {
+  // A file truncated under a running journal (a log rotation, say) must
+  // fail its readers, not leave a drain or a tail spinning at a cursor
+  // that can never move.
+  const ScratchDir dir("journal-cut");
+  const auto path = dir / "journal.log";
+  ReplicationJournal journal(path);
+  for (int i = 1; i <= 2; ++i) (void)journal.append(OpType::kRemoveAll, "u");
+  auto [a, b] = net::socket_pair();
+  net::PlainChannel sender(std::move(a));
+  Shipper shipper(journal, sender, 100);
+  for (int i = 3; i <= 4; ++i) (void)journal.append(OpType::kRemoveAll, "u");
+  const auto cut = std::filesystem::file_size(path);
+  for (int i = 5; i <= 10; ++i) (void)journal.append(OpType::kRemoveAll, "u");
+  std::filesystem::resize_file(path, cut);
+
+  EXPECT_THROW((void)journal.seek(6), IoError);
+  auto cursor = journal.seek(1);
+  EXPECT_THROW(journal.read(cursor, [](const JournalEntry&,
+                                       std::string_view) { return true; }),
+               IoError);
+  EXPECT_EQ(cursor.sequence, 4u);
+  EXPECT_THROW(shipper.drain(), IoError);
+}
+
 TEST(ReplicationShipper, ReceiveShipmentRefusesTheRecordPerFrameSnapshot) {
   // The snapshot format this replaced sent one bare record per frame
   // after a SNAPSHOT_COUNT response field; a receiver must fail on it, not
@@ -332,7 +467,7 @@ TEST(ReplicationShipper, ReceiveShipmentRefusesAnEndFrameThatMiscounts) {
   net::PlainChannel receiver(std::move(b));
   Batch batch;
   batch.entries.push_back({0, OpType::kPut, make_record("alice").serialize()});
-  sender.send(encode_batch(batch));
+  sender.send(batch_frame(batch));
   sender.send(encode_copy_end({5, 2}));
   repository::MemoryCredentialStore target;
   EXPECT_THROW((void)receive_shipment(receiver, target), ProtocolError);
@@ -378,7 +513,7 @@ TEST(ReplicationHostileInput, DecodeBatchSurvivesMutations) {
   Batch donor;
   donor.primary_last_sequence = 9;
   donor.entries.push_back({0, OpType::kPut, make_record("dave").serialize()});
-  survives_mutations(encode_batch(sample_batch()), encode_batch(donor),
+  survives_mutations(batch_frame(sample_batch()), batch_frame(donor),
                      [](const std::string& text) {
                        (void)decode_batch(text);
                      });
@@ -390,7 +525,7 @@ TEST(ReplicationHostileInput, DecodeAckSurvivesMutations) {
 }
 
 TEST(ReplicationHostileInput, DecodeCopyEndSurvivesMutations) {
-  survives_mutations(encode_copy_end({4096, 1024}), encode_batch({}),
+  survives_mutations(encode_copy_end({4096, 1024}), batch_frame({}),
                      [](const std::string& text) {
                        (void)decode_copy_end(text);
                      });
@@ -407,6 +542,60 @@ TEST(ReplicationHostileInput, ApplyEntrySurvivesMutations) {
   }
 }
 
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST(ReplicationHostileInput, JournalRecoverySurvivesMutations) {
+  // A journal file torn or bit-rotted on disk. Opening it must never crash
+  // or throw anything but IoError; it keeps a dense prefix of the entries
+  // written and continues the sequence right after it. Payloads are long
+  // and disjoint from the donor's, so no splice can forge a whole line.
+  const ScratchDir dir("journal-mutations");
+  std::vector<JournalEntry> originals;
+  {
+    ReplicationJournal journal(dir / "valid.log");
+    ReplicationJournal donor(dir / "donor.log");
+    for (int i = 0; i < 6; ++i) {
+      JournalEntry entry{0, static_cast<OpType>(1 + i % 3),
+                         std::string(40, static_cast<char>('a' + i))};
+      entry.sequence = journal.append(entry.type, entry.payload);
+      originals.push_back(entry);
+      (void)donor.append(OpType::kPut,
+                         std::string(40, static_cast<char>('A' + i)));
+    }
+  }
+  const auto valid = encoding::to_bytes(read_file(dir / "valid.log"));
+  const auto donor = encoding::to_bytes(read_file(dir / "donor.log"));
+  const auto path = dir / "mutated.log";
+  for (std::uint32_t i = 0; i < kMutationCases; ++i) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << encoding::to_string(mutation::mutate(valid, donor, i));
+    }
+    try {
+      ReplicationJournal journal(path);
+      const auto recovered = entries_after(journal, 0);
+      ASSERT_LE(recovered.size(), originals.size()) << "case " << i;
+      for (std::size_t j = 0; j < recovered.size(); ++j) {
+        EXPECT_EQ(recovered[j].sequence, originals[j].sequence) << i;
+        EXPECT_EQ(recovered[j].type, originals[j].type) << i;
+        EXPECT_EQ(recovered[j].payload, originals[j].payload) << i;
+      }
+      EXPECT_EQ(journal.last_sequence(), recovered.size()) << "case " << i;
+      EXPECT_EQ(journal.append(OpType::kRemoveAll, "next"),
+                recovered.size() + 1)
+          << "case " << i;
+      EXPECT_EQ(entries_after(journal, 0).size(), recovered.size() + 1)
+          << "case " << i;
+    } catch (const IoError&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "case " << i << " threw " << e.what();
+    }
+  }
+}
+
 TEST(ReplicationStore, MutationsAreJournaledInOrder) {
   const ScratchDir dir("store-order");
   auto journal = std::make_shared<ReplicationJournal>(dir / "journal.log");
@@ -419,7 +608,7 @@ TEST(ReplicationStore, MutationsAreJournaledInOrder) {
   EXPECT_EQ(store.remove_all("bob"), 1u);
 
   EXPECT_EQ(journal->last_sequence(), 4u);
-  const auto entries = journal->entries_after(0, 100);
+  const auto entries = entries_after(*journal, 0);
   ASSERT_EQ(entries.size(), 4u);
   EXPECT_EQ(entries[0].type, OpType::kPut);
   EXPECT_EQ(entries[2].type, OpType::kRemove);
@@ -464,6 +653,83 @@ TEST(ReplicationStore, IntactWatermarkSkipsReplay) {
       std::make_unique<repository::MemoryCredentialStore>(), journal,
       dir / "watermark");
   EXPECT_EQ(reopened.replayed(), 0u);
+}
+
+TEST(ReplicationStore, WatermarkReplaySpansSeveralReadChunks) {
+  // The replay past the watermark reads the journal file back a chunk at
+  // a time; this tail is several chunks long.
+  const ScratchDir dir("store-replay-chunks");
+  auto journal = std::make_shared<ReplicationJournal>(dir / "journal.log");
+  std::vector<std::string> expected;
+  {
+    ReplicatedStore store(
+        std::make_unique<repository::MemoryCredentialStore>(), journal);
+    for (int i = 0; i < 5; ++i) {
+      store.put(make_record("early-" + std::to_string(i)));
+    }
+    repository::MemoryCredentialStore late;
+    for (int i = 0; i < 400; ++i) {
+      auto record = make_record("late-" + std::to_string(i % 150));
+      record.blob.assign(512, static_cast<std::uint8_t>(i));
+      if (i % 7 == 6) {
+        (void)store.remove_all(record.username);
+        (void)late.remove_all(record.username);
+      } else {
+        store.put(record);
+        late.put(record);
+      }
+    }
+    expected = contents(late);
+  }
+  ASSERT_GT(std::filesystem::file_size(dir / "journal.log"),
+            3 * kJournalReadChunk);
+  // The store died with everything after sequence 5 unapplied.
+  ASSERT_TRUE(write_sequence_file(dir / "watermark", 5).empty());
+  ReplicatedStore rebuilt(
+      std::make_unique<repository::MemoryCredentialStore>(), journal,
+      dir / "watermark");
+  EXPECT_EQ(rebuilt.replayed(), journal->last_sequence() - 5);
+  EXPECT_EQ(contents(rebuilt), expected);
+}
+
+TEST(ReplicationJournal, ReadersRaceAppenders) {
+  // Four appenders and a reader that follows them to the tip: the reader
+  // sees every sequence once, in order, each line passing its checksum,
+  // and each appender's entries in the order it wrote them.
+  const ScratchDir dir("journal-race");
+  ReplicationJournal journal(dir / "journal.log");
+  constexpr int kAppenders = 4;
+  constexpr int kPerAppender = 200;
+  constexpr std::uint64_t kTotal = kAppenders * kPerAppender;
+  std::vector<std::thread> appenders;
+  for (int w = 0; w < kAppenders; ++w) {
+    appenders.emplace_back([&journal, w] {
+      for (int i = 0; i < kPerAppender; ++i) {
+        (void)journal.append(OpType::kPut,
+                             std::to_string(w) + " " + std::to_string(i));
+      }
+    });
+  }
+  std::vector<int> next(kAppenders, 0);
+  std::uint64_t last = 0;
+  auto cursor = journal.seek(0);
+  while (cursor.sequence < kTotal) {
+    ASSERT_TRUE(journal.wait_for_entries(cursor.sequence, Millis(10000)));
+    journal.read(cursor, [&](const JournalEntry& entry,
+                             std::string_view line) {
+      EXPECT_EQ(entry.sequence, last + 1);
+      last = entry.sequence;
+      const auto decoded = decode_line(line);
+      EXPECT_TRUE(decoded.has_value() && decoded->payload == entry.payload);
+      const auto fields = strings::split(entry.payload, ' ');
+      const auto writer = static_cast<std::size_t>(std::stoi(fields.at(0)));
+      EXPECT_EQ(std::stoi(fields.at(1)), next.at(writer)++);
+      return true;
+    });
+  }
+  for (auto& appender : appenders) appender.join();
+  EXPECT_EQ(last, kTotal);
+  EXPECT_EQ(journal.last_sequence(), kTotal);
 }
 
 TEST(ReplicationConcurrencyTest, ParallelMutationsKeepJournalAndStoreAgreed) {

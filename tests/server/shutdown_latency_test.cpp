@@ -1,11 +1,14 @@
 // Regression tests for the shutdown path: stop() must complete promptly
 // while the expiry sweep's loop timer is armed for a long period, and while
 // a scraper holds a /metrics connection mid-request. Both live on the
-// reactor's loop 0, which stop() wakes and joins.
+// reactor's loop 0, which stop() wakes and joins. It must also be prompt on
+// either end of a replication stream that sits between heartbeats.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <memory>
 #include <thread>
 
@@ -13,6 +16,7 @@
 #include "gsi/gsi_fixtures.hpp"
 #include "gsi/proxy.hpp"
 #include "net/socket.hpp"
+#include "replication/replicated_store.hpp"
 #include "server/myproxy_server.hpp"
 
 namespace myproxy {
@@ -99,6 +103,88 @@ TEST(ServerShutdown, StopIsFastWhileScraperDrips) {
   EXPECT_LT(timed_stop(*server), milliseconds(1000));
   done.store(true);
   dripper.join();
+}
+
+/// A journaling primary and a replica tailing it, in a scratch directory.
+class ReplicatedPair {
+ public:
+  ReplicatedPair() {
+    dir_ = std::filesystem::temp_directory_path() /
+           ("myproxy-shutdown-repl-" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir_);
+    journal_ = std::make_shared<replication::ReplicationJournal>(
+        dir_ / "journal.log");
+    repository::RepositoryPolicy policy;
+    policy.kdf_iterations = 100;
+    primary_repo_ = std::make_shared<repository::Repository>(
+        std::make_unique<replication::ReplicatedStore>(
+            std::make_unique<repository::MemoryCredentialStore>(), journal_),
+        policy);
+    server::ServerConfig config;
+    config.replication_role = replication::ReplicationRole::kPrimary;
+    config.journal = journal_;
+    config.replica_acl.add("*");
+    primary = std::make_unique<server::MyProxyServer>(
+        make_host("shutdown-primary"), make_trust_store(), primary_repo_,
+        config);
+    primary->start();
+
+    server::ServerConfig replica_config;
+    replica_config.replication_role = replication::ReplicationRole::kReplica;
+    replica_config.replication_primary_port = primary->port();
+    replica = std::make_unique<server::MyProxyServer>(
+        make_host("shutdown-replica"), make_trust_store(),
+        std::make_shared<repository::Repository>(
+            std::make_unique<repository::MemoryCredentialStore>(), policy),
+        replica_config);
+    replica->start();
+  }
+
+  ~ReplicatedPair() {
+    replica->stop();
+    primary->stop();
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
+  }
+
+  /// Journal one write and wait until the primary has the replica's ack
+  /// for it. The primary then waits for the next write, and the replica
+  /// for the next frame, for a whole heartbeat interval.
+  void write_and_catch_up() {
+    const auto deadline = steady_clock::now() + milliseconds(10000);
+    while (!replica->replica_session()->stats().connected.load()) {
+      ASSERT_LT(steady_clock::now(), deadline);
+      std::this_thread::sleep_for(milliseconds(5));
+    }
+    primary_repo_->store_mutable().remove_all("nobody");
+    while (primary->stats().repl_last_acked_seq.load() <
+           journal_->last_sequence()) {
+      ASSERT_LT(steady_clock::now(), deadline);
+      std::this_thread::sleep_for(milliseconds(5));
+    }
+    // Past the ack callback, into the wait for the next write.
+    std::this_thread::sleep_for(milliseconds(50));
+  }
+
+  std::unique_ptr<server::MyProxyServer> primary;
+  std::unique_ptr<server::MyProxyServer> replica;
+
+ private:
+  std::filesystem::path dir_;
+  std::shared_ptr<replication::ReplicationJournal> journal_;
+  std::shared_ptr<repository::Repository> primary_repo_;
+};
+
+TEST(ServerShutdown, PrimaryStopIsFastWithAReplicaAttached) {
+  ReplicatedPair pair;
+  pair.write_and_catch_up();
+  EXPECT_LT(timed_stop(*pair.primary), milliseconds(250));
+}
+
+TEST(ServerShutdown, ReplicaStopIsFastWhileTailing) {
+  ReplicatedPair pair;
+  pair.write_and_catch_up();
+  EXPECT_LT(timed_stop(*pair.replica), milliseconds(250));
 }
 
 }  // namespace

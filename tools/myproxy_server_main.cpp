@@ -32,7 +32,7 @@
 //
 // Store scaling / durability (sharded file store):
 //   store_shards          <n>      # shard directory fanout (pinned at creation)
-//   store_sync_mode       none|fsync|group  # PUT commit durability
+//   store_sync_mode       none|fsync  # PUT commit durability
 //   store_scan_threads    <n>      # startup index-scan threads (0 = auto)
 //   sweep_interval_s      <s>      # background expiry sweep period (0 = off)
 //
@@ -42,7 +42,7 @@
 //   replica_acl           "<dn glob>"  # primary: replica DNs (repeatable)
 //   replication_batch     <n>      # primary: max entries per shipped batch
 //   replication_journal   <path>   # primary journal (default <storage>/journal.log)
-//   replication_sync_mode none|fsync|group  # journal append durability
+//   replication_sync_mode none|fsync  # journal append durability
 //   replication_state_file <path>  # replica offset (default <storage>/replica.state)
 //   audit_log_file        <path>   # append-only JSONL audit sink
 //
