@@ -15,8 +15,12 @@
 //   BM_Crypto_ProxySign         — proxy issuance for a verified CSR
 //   BM_Crypto_KeyImport         — stored private key PEM -> KeyPair
 //   BM_Crypto_CsrCreate         — delegation CSR for a fresh EC key
-//   BM_Crypto_CertParse         — certificate PEM -> Certificate (this one
-//                                 still decodes the subject key per call)
+//   BM_Crypto_CsrParse          — delegation CSR PEM -> verified request
+//   BM_Crypto_CertParse         — certificate PEM -> Certificate; d2i_X509
+//                                 still builds a decoder per call
+//   BM_Crypto_UnsealKnownChain/<known> — stored proxy PEM -> Credential,
+//                                 without (0) and with (1) the presenter's
+//                                 verified chain to share certificates from
 //
 // REST — §5.1 encryption at rest: the defender pays one PBKDF2 per
 // legitimate operation, the attacker pays it per guess.
@@ -142,8 +146,11 @@ struct CodecFixture {
       pki::CertificateRequest::create(
           pki::DistinguishedName::parse("/CN=delegation request"), proxy_key)
           .to_pem());
+  std::string csr_pem = csr.to_pem();
   std::string key_pem = proxy_key.private_pem().str();
   std::string cert_pem = user().certificate().to_pem();
+  std::string stored_pem = stored_proxy().to_pem().str();
+  std::vector<pki::Certificate> presented_chain = stored_proxy().full_chain();
 
   static const CodecFixture& get() {
     static const CodecFixture fixture;
@@ -155,7 +162,7 @@ void BM_Crypto_ProxySign(benchmark::State& state) {
   // Issue one proxy certificate for an already verified CSR, as
   // delegate_credential does: the CSR's SubjectPublicKeyInfo is copied as
   // bytes and the certificate goes out as PEM. No key generation and no CSR
-  // parse (that is a certificate-class decode, see CertParse).
+  // parse (see CsrParse).
   const auto& f = CodecFixture::get();
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -204,9 +211,27 @@ BENCHMARK(BM_Crypto_CsrCreate)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 
+void BM_Crypto_CsrParse(benchmark::State& state) {
+  // delegate_credential's first step: walk the CSR's DER, decode its
+  // SubjectPublicKeyInfo with the thread's reused decoder, and check the
+  // proof-of-possession signature.
+  const auto& f = CodecFixture::get();
+  for (auto _ : state) {
+    const auto csr = pki::CertificateRequest::from_pem(f.csr_pem);
+    if (!csr.verify()) state.SkipWithError("CSR did not verify");
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_Crypto_CsrParse)
+    ->Threads(1)
+    ->Threads(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_Crypto_CertParse(benchmark::State& state) {
-  // Measured, not optimized: d2i_X509 decodes the subject key through a
-  // fresh decoder context on every call.
+  // A certificate nobody holds yet: d2i_X509 decodes the subject key with
+  // a decoder that OpenSSL 3 builds on every call, under a process-wide
+  // lock. Receivers skip it for certificates they hold (UnsealKnownChain).
   const auto& f = CodecFixture::get();
   for (auto _ : state) {
     benchmark::DoNotOptimize(pki::Certificate::from_pem(f.cert_pem));
@@ -214,6 +239,29 @@ void BM_Crypto_CertParse(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_Crypto_CertParse)
+    ->Threads(1)
+    ->Threads(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_Crypto_UnsealKnownChain(benchmark::State& state) {
+  // Unseal's parse step for a §6.6 renewal: the stored proxy's PEM (two
+  // certificates and a key) -> Credential. With Arg 1 the renewer presented
+  // that same proxy, so both certificates are shared from its verified
+  // chain and only the key is decoded.
+  const auto& f = CodecFixture::get();
+  const std::vector<pki::Certificate> none;
+  const std::vector<pki::Certificate>& known =
+      state.range(0) == 0 ? none : f.presented_chain;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        gsi::Credential::from_pem(f.stored_pem, {}, known));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_Crypto_UnsealKnownChain)
+    ->Arg(0)
+    ->Arg(1)
     ->Threads(1)
     ->Threads(4)
     ->UseRealTime()

@@ -509,8 +509,10 @@ gsi::Credential MyProxyClient::renew(std::string_view username,
     gsi::DelegationRequest delegation = start_delegation(options.key_spec);
     channel->send(delegation.csr_pem);
     const std::string chain_pem = channel->receive();
-    gsi::Credential delegated =
-        gsi::complete_delegation(std::move(delegation.key), chain_pem);
+    // The returned chain holds the stored credential's certificates, which
+    // for a renewal are this client's own.
+    gsi::Credential delegated = gsi::complete_delegation(
+        std::move(delegation.key), chain_pem, credential_.full_chain());
     cache_session(port, *channel);
     return delegated;
   });

@@ -48,36 +48,6 @@ struct Pkcs8Deleter {
 using X509SigPtr = std::unique_ptr<X509_SIG, X509SigDeleter>;
 using Pkcs8Ptr = std::unique_ptr<PKCS8_PRIV_KEY_INFO, Pkcs8Deleter>;
 
-/// One PEM block as PEM_read_bio returns it. The DER body may hold private
-/// key material, so it is wiped when freed.
-struct PemBlock {
-  char* name = nullptr;
-  char* header = nullptr;
-  unsigned char* der = nullptr;
-  long len = 0;  // NOLINT(google-runtime-int) OpenSSL API type
-
-  PemBlock() = default;
-  PemBlock(const PemBlock&) = delete;
-  PemBlock& operator=(const PemBlock&) = delete;
-  ~PemBlock() { clear(); }
-
-  void clear() noexcept {
-    OPENSSL_free(name);
-    OPENSSL_free(header);
-    OPENSSL_clear_free(der, static_cast<std::size_t>(len));
-    name = header = nullptr;
-    der = nullptr;
-    len = 0;
-  }
-
-  /// Take ownership of `body` (allocated by OpenSSL) as the new DER.
-  void replace_der(unsigned char* body, int body_len) {
-    OPENSSL_clear_free(der, static_cast<std::size_t>(len));
-    der = body;
-    len = body_len;
-  }
-};
-
 /// "PRIVATE KEY", "ENCRYPTED PRIVATE KEY" and the traditional
 /// "<TYPE> PRIVATE KEY" names; never "ANY PRIVATE KEY" or a certificate.
 bool is_private_key_block(const char* name) {
@@ -86,56 +56,61 @@ bool is_private_key_block(const char* name) {
   return n.ends_with(kSuffix) && n != "ANY PRIVATE KEY";
 }
 
-/// The calling thread's private-key decoder. OpenSSL 3 builds a decoder
-/// context by searching every provider under a process-wide lock (~1 ms);
-/// decoding with a built one costs tens of microseconds. The context writes
-/// its result into `pkey`, which decode_private_der() takes and nulls, so no
-/// key outlives the call that decoded it.
-struct PrivateKeyDecoder {
-  OSSL_DECODER_CTX* ctx = nullptr;
-  EVP_PKEY* pkey = nullptr;
+/// A calling thread's key decoder for one input structure. OpenSSL 3 builds
+/// a decoder context by searching every provider under a process-wide lock
+/// (~1 ms); decoding with a built one costs tens of microseconds. The
+/// context writes its result into `pkey_`, which decode() takes and nulls,
+/// so no key outlives the call that decoded it.
+class KeyDecoder {
+ public:
+  /// `structure` is OpenSSL's input structure name (nullptr: any).
+  KeyDecoder(const char* structure, int selection)
+      : structure_(structure), selection_(selection) {}
+  KeyDecoder(const KeyDecoder&) = delete;
+  KeyDecoder& operator=(const KeyDecoder&) = delete;
+  ~KeyDecoder() { reset(); }
 
-  PrivateKeyDecoder() = default;
-  PrivateKeyDecoder(const PrivateKeyDecoder&) = delete;
-  PrivateKeyDecoder& operator=(const PrivateKeyDecoder&) = delete;
-  ~PrivateKeyDecoder() { reset(); }
-
-  void reset() noexcept {
-    OSSL_DECODER_CTX_free(ctx);
-    ctx = nullptr;
-    EVP_PKEY_free(pkey);
-    pkey = nullptr;
-  }
-
-  OSSL_DECODER_CTX* get() {
-    if (ctx == nullptr) {
-      // "DER" input, any structure (PKCS#8 or traditional), any key type.
-      ctx = OSSL_DECODER_CTX_new_for_pkey(&pkey, "DER", nullptr, nullptr,
-                                          EVP_PKEY_KEYPAIR, nullptr, nullptr);
-      check_ptr(ctx, "OSSL_DECODER_CTX_new_for_pkey");
+  /// Decode one DER key; throws CryptoError naming `what` on failure.
+  EVP_PKEY* decode(const unsigned char* der, std::size_t len,
+                   std::string_view what) {
+    if (ctx_ == nullptr) {
+      ctx_ = OSSL_DECODER_CTX_new_for_pkey(&pkey_, "DER", structure_,
+                                           nullptr, selection_, nullptr,
+                                           nullptr);
+      check_ptr(ctx_, "OSSL_DECODER_CTX_new_for_pkey");
     }
-    return ctx;
+    const unsigned char* p = der;
+    std::size_t remaining = len;
+    const int ok = OSSL_DECODER_from_data(ctx_, &p, &remaining);
+    EVP_PKEY* pkey = std::exchange(pkey_, nullptr);
+    if (ok != 1 || pkey == nullptr) {
+      EVP_PKEY_free(pkey);
+      // A failed decode may leave the context mid-chain; start clean.
+      reset();
+      throw_openssl(what);
+    }
+    return pkey;
   }
+
+ private:
+  void reset() noexcept {
+    OSSL_DECODER_CTX_free(ctx_);
+    ctx_ = nullptr;
+    EVP_PKEY_free(pkey_);
+    pkey_ = nullptr;
+  }
+
+  const char* structure_;
+  int selection_;
+  OSSL_DECODER_CTX* ctx_ = nullptr;
+  EVP_PKEY* pkey_ = nullptr;
 };
 
-thread_local PrivateKeyDecoder t_decoder;
-
-/// Decode an unencrypted private key (PKCS#8 or traditional DER).
-EVP_PKEY* decode_private_der(const unsigned char* der,
-                             long len) {  // NOLINT(google-runtime-int)
-  OSSL_DECODER_CTX* ctx = t_decoder.get();
-  const unsigned char* p = der;
-  auto remaining = static_cast<std::size_t>(len);
-  const int ok = OSSL_DECODER_from_data(ctx, &p, &remaining);
-  EVP_PKEY* pkey = std::exchange(t_decoder.pkey, nullptr);
-  if (ok != 1 || pkey == nullptr) {
-    EVP_PKEY_free(pkey);
-    // A failed decode may leave the context mid-chain; start clean.
-    t_decoder.reset();
-    throw_openssl("private key decode");
-  }
-  return pkey;
-}
+/// Unencrypted private keys: PKCS#8 or traditional, any key type.
+thread_local KeyDecoder t_private_decoder(nullptr, EVP_PKEY_KEYPAIR);
+/// Public keys as certificates and requests carry them.
+thread_local KeyDecoder t_public_decoder("SubjectPublicKeyInfo",
+                                         EVP_PKEY_PUBLIC_KEY);
 
 }  // namespace
 
@@ -177,8 +152,7 @@ KeyPair KeyPair::from_private_pem(std::string_view pem,
   PemBlock block;
   // Skip certificate blocks: a credential file holds its key between them.
   while (true) {
-    if (PEM_read_bio(bio.get(), &block.name, &block.header, &block.der,
-                     &block.len) != 1) {
+    if (!block.read(bio.get())) {
       throw_openssl("no private key block in PEM input");
     }
     if (is_private_key_block(block.name)) break;
@@ -212,17 +186,30 @@ KeyPair KeyPair::from_private_pem(std::string_view pem,
   }
 
   KeyPair out;
-  out.pkey_ = wrap(decode_private_der(block.der, block.len));
+  out.pkey_ = wrap(t_private_decoder.decode(
+      block.der, static_cast<std::size_t>(block.len), "private key decode"));
   out.has_private_ = true;
   return out;
 }
 
 KeyPair KeyPair::from_public_pem(std::string_view pem) {
   BioPtr bio = memory_bio(pem);
-  EVP_PKEY* raw = PEM_read_bio_PUBKEY(bio.get(), nullptr, nullptr, nullptr);
-  if (raw == nullptr) throw_openssl("PEM_read_bio_PUBKEY");
+  PemBlock block;
+  while (true) {
+    if (!block.read(bio.get())) {
+      throw_openssl("no public key block in PEM input");
+    }
+    if (std::strcmp(block.name, PEM_STRING_PUBLIC) == 0) break;
+    block.clear();
+  }
+  return from_public_der(block.der_view());
+}
+
+KeyPair KeyPair::from_public_der(std::string_view spki) {
   KeyPair out;
-  out.pkey_ = wrap(raw);
+  out.pkey_ = wrap(t_public_decoder.decode(
+      reinterpret_cast<const unsigned char*>(spki.data()), spki.size(),
+      "public key decode"));
   out.has_private_ = false;
   return out;
 }

@@ -46,6 +46,10 @@ class KeyPair {
   /// Import only a public key (verification-only KeyPair).
   static KeyPair from_public_pem(std::string_view pem);
 
+  /// Import a DER SubjectPublicKeyInfo with the calling thread's reused
+  /// decoder. Throws CryptoError if it does not decode.
+  static KeyPair from_public_der(std::string_view spki);
+
   [[nodiscard]] bool valid() const noexcept { return pkey_ != nullptr; }
   [[nodiscard]] bool has_private() const noexcept { return has_private_; }
 

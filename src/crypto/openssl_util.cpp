@@ -1,6 +1,7 @@
 #include "crypto/openssl_util.hpp"
 
 #include <openssl/err.h>
+#include <openssl/pem.h>
 
 #include "common/format.hpp"
 
@@ -21,6 +22,25 @@ std::string drain_error_queue() {
 
 void throw_openssl(std::string_view what) {
   throw CryptoError(fmt::format("{}: {}", what, drain_error_queue()));
+}
+
+bool PemBlock::read(BIO* bio) {
+  return PEM_read_bio(bio, &name, &header, &der, &len) == 1;
+}
+
+void PemBlock::clear() noexcept {
+  OPENSSL_free(name);
+  OPENSSL_free(header);
+  OPENSSL_clear_free(der, static_cast<std::size_t>(len));
+  name = header = nullptr;
+  der = nullptr;
+  len = 0;
+}
+
+void PemBlock::replace_der(unsigned char* body, int body_len) {
+  OPENSSL_clear_free(der, static_cast<std::size_t>(len));
+  der = body;
+  len = body_len;
 }
 
 BioPtr memory_bio(std::string_view data) {

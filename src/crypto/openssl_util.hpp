@@ -44,6 +44,17 @@ struct X509CrlDeleter {
 struct X509NameDeleter {
   void operator()(X509_NAME* p) const noexcept { X509_NAME_free(p); }
 };
+struct X509AlgorDeleter {
+  void operator()(X509_ALGOR* p) const noexcept { X509_ALGOR_free(p); }
+};
+struct Asn1TypeDeleter {
+  void operator()(ASN1_TYPE* p) const noexcept { ASN1_TYPE_free(p); }
+};
+struct Asn1BitStringDeleter {
+  void operator()(ASN1_BIT_STRING* p) const noexcept {
+    ASN1_BIT_STRING_free(p);
+  }
+};
 
 using EvpPkeyPtr = std::unique_ptr<EVP_PKEY, EvpPkeyDeleter>;
 using EvpPkeyCtxPtr = std::unique_ptr<EVP_PKEY_CTX, EvpPkeyCtxDeleter>;
@@ -54,6 +65,38 @@ using X509Ptr = std::unique_ptr<X509, X509Deleter>;
 using X509ReqPtr = std::unique_ptr<X509_REQ, X509ReqDeleter>;
 using X509CrlPtr = std::unique_ptr<X509_CRL, X509CrlDeleter>;
 using X509NamePtr = std::unique_ptr<X509_NAME, X509NameDeleter>;
+using X509AlgorPtr = std::unique_ptr<X509_ALGOR, X509AlgorDeleter>;
+using Asn1TypePtr = std::unique_ptr<ASN1_TYPE, Asn1TypeDeleter>;
+using Asn1BitStringPtr = std::unique_ptr<ASN1_BIT_STRING, Asn1BitStringDeleter>;
+
+/// One PEM block as PEM_read_bio returns it. The DER body may hold private
+/// key material, so it is wiped when freed or replaced.
+struct PemBlock {
+  char* name = nullptr;
+  char* header = nullptr;
+  unsigned char* der = nullptr;
+  long len = 0;  // NOLINT(google-runtime-int) OpenSSL API type
+
+  PemBlock() = default;
+  PemBlock(const PemBlock&) = delete;
+  PemBlock& operator=(const PemBlock&) = delete;
+  ~PemBlock() { clear(); }
+
+  /// Read the next block of `bio` into this one (which must be clear).
+  /// False at the end of input or on a malformed block; the OpenSSL error
+  /// queue says which.
+  [[nodiscard]] bool read(BIO* bio);
+
+  /// Wipe and free the block.
+  void clear() noexcept;
+
+  /// Take ownership of `body` (allocated by OpenSSL) as the new DER.
+  void replace_der(unsigned char* body, int body_len);
+
+  [[nodiscard]] std::string_view der_view() const noexcept {
+    return {reinterpret_cast<const char*>(der), static_cast<std::size_t>(len)};
+  }
+};
 
 /// Drain the OpenSSL error queue into one "lib:reason; lib:reason" string.
 [[nodiscard]] std::string drain_error_queue();

@@ -89,8 +89,9 @@ std::string Credential::certificate_chain_pem() const {
 }
 
 Credential Credential::from_pem(std::string_view pem,
-                                std::string_view pass_phrase) {
-  auto certs = pki::Certificate::chain_from_pem(pem);
+                                std::string_view pass_phrase,
+                                std::span<const pki::Certificate> known) {
+  auto certs = pki::Certificate::chain_from_pem(pem, known);
   // The key block sits between the leaf cert and the rest of the chain;
   // KeyPair's PEM reader finds the first key block wherever it is.
   crypto::KeyPair key = crypto::KeyPair::from_private_pem(pem, pass_phrase);

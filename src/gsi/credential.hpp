@@ -7,6 +7,7 @@
 // concatenated.
 #pragma once
 
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -78,8 +79,11 @@ class Credential {
 
   /// Parse a credential file (accepts both encrypted and plain keys; the
   /// pass phrase is ignored for plain keys). Throws on key/cert mismatch.
+  /// Certificates byte-identical to one in `known` are shared, not decoded
+  /// (Certificate::chain_from_pem).
   static Credential from_pem(std::string_view pem,
-                             std::string_view pass_phrase = {});
+                             std::string_view pass_phrase = {},
+                             std::span<const pki::Certificate> known = {});
 
  private:
   pki::Certificate cert_;

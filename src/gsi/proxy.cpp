@@ -110,8 +110,9 @@ std::string delegate_credential(const Credential& issuer,
 }
 
 Credential complete_delegation(crypto::KeyPair key,
-                               std::string_view chain_pem) {
-  auto certs = pki::Certificate::chain_from_pem(chain_pem);
+                               std::string_view chain_pem,
+                               std::span<const pki::Certificate> known) {
+  auto certs = pki::Certificate::chain_from_pem(chain_pem, known);
   pki::Certificate leaf = std::move(certs.front());
   certs.erase(certs.begin());
 

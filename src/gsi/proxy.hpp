@@ -14,6 +14,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -70,8 +71,11 @@ struct DelegationRequest {
 
 /// Step 3 (receiver): combine the retained key with the returned chain.
 /// Verifies the chain's leaf matches `key` and that the proxy links are
-/// internally consistent.
-[[nodiscard]] Credential complete_delegation(crypto::KeyPair key,
-                                             std::string_view chain_pem);
+/// internally consistent. Chain certificates byte-identical to one in
+/// `known` (the sender's verified chain, or the receiver's own credential)
+/// are shared, not decoded.
+[[nodiscard]] Credential complete_delegation(
+    crypto::KeyPair key, std::string_view chain_pem,
+    std::span<const pki::Certificate> known = {});
 
 }  // namespace myproxy::gsi

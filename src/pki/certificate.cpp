@@ -8,7 +8,9 @@
 #include <openssl/x509.h>
 #include <openssl/x509v3.h>
 
+#include <algorithm>
 #include <cctype>
+#include <cstring>
 #include <ctime>
 
 #include "common/encoding.hpp"
@@ -74,13 +76,19 @@ Certificate Certificate::from_pem(std::string_view pem) {
   return out;
 }
 
-std::vector<Certificate> Certificate::chain_from_pem(std::string_view pem) {
+std::vector<Certificate> Certificate::chain_from_pem(
+    std::string_view pem, std::span<const Certificate> known) {
+  std::vector<std::string> known_der;
+  known_der.reserve(known.size());
+  for (const auto& cert : known) known_der.push_back(cert.der());
+
   crypto::BioPtr bio = crypto::memory_bio(pem);
   std::vector<Certificate> chain;
+  crypto::PemBlock block;
   ERR_clear_error();
   while (true) {
-    X509* x = PEM_read_bio_X509(bio.get(), nullptr, nullptr, nullptr);
-    if (x == nullptr) {
+    block.clear();
+    if (!block.read(bio.get())) {
       // Only "no further BEGIN line" ends the chain cleanly; a corrupt or
       // truncated block must not silently shorten it.
       const auto last = ERR_peek_last_error();
@@ -94,8 +102,32 @@ std::vector<Certificate> Certificate::chain_from_pem(std::string_view pem) {
       }
       break;
     }
+    if (std::strcmp(block.name, PEM_STRING_X509) != 0 &&
+        std::strcmp(block.name, PEM_STRING_X509_OLD) != 0) {
+      continue;  // a key block, wiped by clear()
+    }
+    const std::string_view der = block.der_view();
+    const auto same = std::find(known_der.begin(), known_der.end(), der);
+    if (same != known_der.end()) {
+      chain.push_back(known[static_cast<std::size_t>(same -
+                                                     known_der.begin())]);
+      continue;
+    }
+    const auto* p = reinterpret_cast<const unsigned char*>(der.data());
+    X509* x = d2i_X509(nullptr, &p, block.len);
+    if (x == nullptr) {
+      throw ParseError(fmt::format("unreadable certificate {}: {}",
+                                   chain.size() + 1,
+                                   crypto::drain_error_queue()));
+    }
     Certificate cert;
     cert.x509_ = wrap(x);
+    // Trailing bytes or a non-canonical encoding would make the returned
+    // certificate differ from the bytes it was read from.
+    if (cert.der() != der) {
+      throw ParseError(fmt::format(
+          "certificate {} is not in canonical DER", chain.size() + 1));
+    }
     chain.push_back(std::move(cert));
   }
   if (chain.empty()) {
@@ -167,9 +199,10 @@ bool Certificate::signed_by(const Certificate& issuer) const {
   return rc == 1;
 }
 
+std::string Certificate::der() const { return der_encode(require(x509_)); }
+
 std::string Certificate::fingerprint() const {
-  return crypto::digest_hex(crypto::HashAlgorithm::kSha256,
-                            der_encode(require(x509_)));
+  return crypto::digest_hex(crypto::HashAlgorithm::kSha256, der());
 }
 
 ProxyType Certificate::proxy_type() const {

@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -34,8 +35,14 @@ class Certificate {
   /// First certificate in a PEM blob. Throws ParseError/CryptoError.
   static Certificate from_pem(std::string_view pem);
 
-  /// Every certificate in a PEM blob, in order of appearance.
-  static std::vector<Certificate> chain_from_pem(std::string_view pem);
+  /// Every certificate in a PEM blob, in order of appearance. Each block
+  /// must hold exactly one certificate's DER encoding. A block whose bytes
+  /// equal the DER of a certificate in `known` (one the caller already
+  /// holds, such as the peer's verified chain) shares that certificate's
+  /// X509 instead of being decoded again; every other block is parsed.
+  /// Other PEM blocks are skipped and wiped. Throws ParseError.
+  static std::vector<Certificate> chain_from_pem(
+      std::string_view pem, std::span<const Certificate> known = {});
 
   /// Concatenate `certs` into one PEM blob.
   static std::string chain_to_pem(const std::vector<Certificate>& certs);
@@ -63,6 +70,9 @@ class Certificate {
   /// True if this certificate's signature verifies under `issuer`'s key.
   /// Checks only the signature — not validity windows or DN chaining.
   [[nodiscard]] bool signed_by(const Certificate& issuer) const;
+
+  /// DER encoding.
+  [[nodiscard]] std::string der() const;
 
   /// SHA-256 over the DER encoding, hex. Stable identity for audit logs.
   [[nodiscard]] std::string fingerprint() const;

@@ -12,6 +12,7 @@
 #include "common/error.hpp"
 #include "crypto/openssl_util.hpp"
 #include "crypto/random.hpp"
+#include "pki/der.hpp"
 
 namespace myproxy::pki {
 
@@ -67,20 +68,25 @@ void add_policy_extension(X509* x, const RestrictionPolicy& policy) {
   crypto::check(rc, "X509_add_ext(proxy policy)");
 }
 
-/// Copy the algorithm, its parameters and the key bits of `from` into `to`.
-/// Neither key is decoded or encoded.
-void copy_public_key_info(X509_PUBKEY* to, const X509_PUBKEY* from) {
-  ASN1_OBJECT* algorithm = nullptr;
-  const unsigned char* bits = nullptr;
-  int bits_len = 0;
-  X509_ALGOR* algor = nullptr;
-  crypto::check(
-      X509_PUBKEY_get0_param(&algorithm, &bits, &bits_len, &algor, from),
-      "X509_PUBKEY_get0_param");
-  const ASN1_OBJECT* ignored = nullptr;
+/// Set `to` from DER SubjectPublicKeyInfo bytes: the algorithm, its
+/// parameters and the key bits. The key itself is never decoded.
+void set_public_key_info(X509_PUBKEY* to, std::string_view spki) {
+  std::string_view rest = spki;
+  std::string_view fields = der::take(rest, der::kSequence).content;
+  der::expect_end(rest, "SubjectPublicKeyInfo");
+  const std::string_view algorithm_der =
+      der::take(fields, der::kSequence).encoding;
+  const std::string_view bits = der::bits(der::take(fields, der::kBitString));
+  der::expect_end(fields, "SubjectPublicKeyInfo");
+
+  const auto* p = reinterpret_cast<const unsigned char*>(algorithm_der.data());
+  const crypto::X509AlgorPtr algor(d2i_X509_ALGOR(
+      nullptr, &p, static_cast<long>(algorithm_der.size())));  // NOLINT
+  crypto::check_ptr(algor.get(), "d2i_X509_ALGOR");
+  const ASN1_OBJECT* algorithm = nullptr;
   int param_type = V_ASN1_UNDEF;
   const void* param = nullptr;
-  X509_ALGOR_get0(&ignored, &param_type, &param, algor);
+  X509_ALGOR_get0(&algorithm, &param_type, &param, algor.get());
 
   void* param_copy = nullptr;
   switch (param_type) {
@@ -98,13 +104,13 @@ void copy_public_key_info(X509_PUBKEY* to, const X509_PUBKEY* from) {
   }
   ASN1_OBJECT* algorithm_copy = OBJ_dup(algorithm);
   auto* bits_copy = static_cast<unsigned char*>(
-      OPENSSL_memdup(bits, static_cast<std::size_t>(bits_len)));
+      OPENSSL_memdup(bits.data(), bits.size()));
   const bool copied = algorithm_copy != nullptr && bits_copy != nullptr &&
                       (param == nullptr || param_copy != nullptr);
   // X509_PUBKEY_set0_param takes ownership of the copies only on success.
   if (!copied || X509_PUBKEY_set0_param(to, algorithm_copy, param_type,
                                         param_copy, bits_copy,
-                                        bits_len) != 1) {
+                                        static_cast<int>(bits.size())) != 1) {
     ASN1_OBJECT_free(algorithm_copy);
     if (param_type == V_ASN1_OBJECT) {
       ASN1_OBJECT_free(static_cast<ASN1_OBJECT*>(param_copy));
@@ -236,8 +242,7 @@ void CertificateBuilder::sign_into(X509* x,
   set_asn1_time(X509_getm_notAfter(x), not_after_);
 
   if (public_key_csr_.valid()) {
-    copy_public_key_info(X509_get_X509_PUBKEY(x),
-                         X509_REQ_get_X509_PUBKEY(public_key_csr_.native()));
+    set_public_key_info(X509_get_X509_PUBKEY(x), public_key_csr_.spki_der());
   } else {
     crypto::check(X509_set_pubkey(x, public_key_.native()),
                   "X509_set_pubkey");

@@ -1,5 +1,6 @@
 #include "pki/certificate_request.hpp"
 
+#include <openssl/asn1.h>
 #include <openssl/core_names.h>
 #include <openssl/ec.h>
 #include <openssl/evp.h>
@@ -7,24 +8,30 @@
 #include <openssl/pem.h>
 #include <openssl/x509.h>
 
+#include <cstring>
 #include <string>
 
 #include "common/error.hpp"
 #include "crypto/openssl_util.hpp"
+#include "pki/der.hpp"
 
 namespace myproxy::pki {
 
+/// The request's DER and views of its parts. Never moved once built, so
+/// the views stay valid for as long as any copy of the request lives.
+struct CertificateRequest::Encoding {
+  std::string der;
+  std::string_view info;       ///< CertificationRequestInfo: what is signed
+  std::string_view subject;    ///< Name
+  std::string_view spki;       ///< SubjectPublicKeyInfo
+  std::string_view algorithm;  ///< signatureAlgorithm
+  std::string_view signature;  ///< signature BIT STRING
+};
+
 namespace {
 
-std::shared_ptr<X509_REQ> wrap(X509_REQ* r) {
-  return std::shared_ptr<X509_REQ>(r, [](X509_REQ* p) { X509_REQ_free(p); });
-}
-
-X509_REQ* require(const std::shared_ptr<X509_REQ>& r) {
-  if (r == nullptr) {
-    throw Error(ErrorCode::kInternal, "empty CertificateRequest");
-  }
-  return r.get();
+const unsigned char* bytes(std::string_view s) {
+  return reinterpret_cast<const unsigned char*>(s.data());
 }
 
 /// Write an EC key's SubjectPublicKeyInfo from its encoded point and named
@@ -60,6 +67,41 @@ void set_ec_public_key(X509_REQ* req, EVP_PKEY* key) {
 
 }  // namespace
 
+std::shared_ptr<const CertificateRequest::Encoding> CertificateRequest::read(
+    std::string encoded) {
+  auto out = std::make_shared<Encoding>();
+  out->der = std::move(encoded);
+  std::string_view rest = out->der;
+  std::string_view request = der::take(rest, der::kSequence).content;
+  der::expect_end(rest, "certificate request");
+
+  const der::Element info = der::take(request, der::kSequence);
+  out->info = info.encoding;
+  out->algorithm = der::take(request, der::kSequence).encoding;
+  out->signature = der::take(request, der::kBitString).encoding;
+  der::expect_end(request, "certificate request signature");
+
+  std::string_view fields = info.content;
+  if (der::take(fields, der::kInteger).content != std::string_view("\0", 1)) {
+    throw ParseError("certificate request is not version 1");
+  }
+  out->subject = der::take(fields, der::kSequence).encoding;
+  out->spki = der::take(fields, der::kSequence).encoding;
+  // The attributes are covered by the signature and otherwise unused.
+  if (der::next_is(fields, der::kContext0)) {
+    (void)der::take(fields, der::kContext0);
+  }
+  der::expect_end(fields, "certificate request info");
+  return out;
+}
+
+const CertificateRequest::Encoding& CertificateRequest::encoding() const {
+  if (encoding_ == nullptr) {
+    throw Error(ErrorCode::kInternal, "empty CertificateRequest");
+  }
+  return *encoding_;
+}
+
 CertificateRequest CertificateRequest::create(
     const DistinguishedName& subject, const crypto::KeyPair& key) {
   if (!key.has_private()) {
@@ -84,52 +126,101 @@ CertificateRequest CertificateRequest::create(
     crypto::throw_openssl("X509_REQ_sign");
   }
 
+  unsigned char* der = nullptr;
+  const int len = i2d_X509_REQ(req.get(), &der);
+  if (len <= 0) crypto::throw_openssl("i2d_X509_REQ");
+  std::string encoded(reinterpret_cast<char*>(der),
+                      static_cast<std::size_t>(len));
+  OPENSSL_free(der);
+
   CertificateRequest out;
-  out.req_ = wrap(req.release());
+  out.encoding_ = read(std::move(encoded));
   out.key_ = key;
   return out;
 }
 
 CertificateRequest CertificateRequest::from_pem(std::string_view pem) {
   crypto::BioPtr bio = crypto::memory_bio(pem);
-  X509_REQ* req = PEM_read_bio_X509_REQ(bio.get(), nullptr, nullptr, nullptr);
-  if (req == nullptr) {
-    (void)crypto::drain_error_queue();
-    throw ParseError("no certificate request found in PEM input");
+  crypto::PemBlock block;
+  while (true) {
+    if (!block.read(bio.get())) {
+      (void)crypto::drain_error_queue();
+      throw ParseError("no certificate request found in PEM input");
+    }
+    if (std::strcmp(block.name, PEM_STRING_X509_REQ) == 0 ||
+        std::strcmp(block.name, PEM_STRING_X509_REQ_OLD) == 0) {
+      break;
+    }
+    block.clear();
   }
   CertificateRequest out;
-  out.req_ = wrap(req);
+  out.encoding_ = read(std::string(block.der_view()));
+  out.key_ = crypto::KeyPair::from_public_der(out.encoding_->spki);
   return out;
 }
 
 std::string CertificateRequest::to_pem() const {
+  const Encoding& e = encoding();
   crypto::BioPtr bio = crypto::memory_bio();
-  crypto::check(PEM_write_bio_X509_REQ(bio.get(), require(req_)),
-                "PEM_write_bio_X509_REQ");
+  if (PEM_write_bio(bio.get(), PEM_STRING_X509_REQ, "", bytes(e.der),
+                    static_cast<long>(e.der.size())) <= 0) {  // NOLINT
+    crypto::throw_openssl("PEM_write_bio(certificate request)");
+  }
   return crypto::bio_to_string(bio.get());
 }
 
 DistinguishedName CertificateRequest::subject() const {
-  return DistinguishedName::from_x509_name(
-      X509_REQ_get_subject_name(require(req_)));
-}
-
-EVP_PKEY* CertificateRequest::key() const {
-  if (key_.valid()) return key_.native();
-  return crypto::check_ptr(X509_REQ_get0_pubkey(require(req_)),
-                           "X509_REQ_get0_pubkey");
+  const Encoding& e = encoding();
+  const unsigned char* p = bytes(e.subject);
+  crypto::X509NamePtr name(
+      d2i_X509_NAME(nullptr, &p, static_cast<long>(e.subject.size())));
+  if (name == nullptr) {
+    (void)crypto::drain_error_queue();
+    throw ParseError("unreadable certificate request subject");
+  }
+  return DistinguishedName::from_x509_name(name.get());
 }
 
 crypto::KeyPair CertificateRequest::public_key() const {
-  EVP_PKEY* key = this->key();
+  (void)encoding();
+  EVP_PKEY* key = key_.native();
   crypto::check(EVP_PKEY_up_ref(key), "EVP_PKEY_up_ref");
   return crypto::KeyPair::adopt(key, /*has_private=*/false);
 }
 
 bool CertificateRequest::verify() const {
-  const int rc = X509_REQ_verify(require(req_), key());
-  if (rc < 0) (void)crypto::drain_error_queue();
+  const Encoding& e = encoding();
+  const unsigned char* p = bytes(e.algorithm);
+  crypto::X509AlgorPtr algorithm(
+      d2i_X509_ALGOR(nullptr, &p, static_cast<long>(e.algorithm.size())));
+  p = bytes(e.signature);
+  crypto::Asn1BitStringPtr signature(d2i_ASN1_BIT_STRING(
+      nullptr, &p, static_cast<long>(e.signature.size())));
+  // An ANY of type SEQUENCE holds its whole encoding and writes it back
+  // verbatim, so ASN1_item_verify checks the CertificationRequestInfo bytes
+  // as they arrived, exactly as X509_REQ_verify does for a decoded request:
+  // the algorithm must match the key's type, and it picks the digest (none
+  // for Ed25519/Ed448) or the RSASSA-PSS parameters.
+  crypto::Asn1TypePtr info(ASN1_TYPE_new());
+  ASN1_STRING* info_bytes = ASN1_STRING_type_new(V_ASN1_SEQUENCE);
+  if (info == nullptr || info_bytes == nullptr ||
+      ASN1_STRING_set(info_bytes, e.info.data(),
+                      static_cast<int>(e.info.size())) != 1) {
+    ASN1_STRING_free(info_bytes);
+    crypto::throw_openssl("CertificationRequestInfo copy");
+  }
+  ASN1_TYPE_set(info.get(), V_ASN1_SEQUENCE, info_bytes);
+  const int rc =
+      algorithm == nullptr || signature == nullptr
+          ? 0
+          : ASN1_item_verify(ASN1_ITEM_rptr(ASN1_ANY), algorithm.get(),
+                             signature.get(), info.get(), key_.native());
+  if (rc != 1) (void)crypto::drain_error_queue();
   return rc == 1;
+}
+
+std::string_view CertificateRequest::spki_der() const {
+  return encoding().spki;
 }
 
 }  // namespace myproxy::pki

@@ -2,6 +2,11 @@
 // the *receiver* generating a fresh key pair and sending a CSR; the sender
 // signs it with the credential being delegated. The private key never
 // crosses the wire.
+//
+// A request is held as its DER bytes plus the positions of the parts the
+// sender needs. One reader walks those bytes, for created and received
+// requests alike; only the SubjectPublicKeyInfo is decoded (with the
+// calling thread's reused decoder), and the subject name only on demand.
 #pragma once
 
 #include <memory>
@@ -10,8 +15,6 @@
 
 #include "crypto/key_pair.hpp"
 #include "pki/distinguished_name.hpp"
-
-using X509_REQ = struct X509_req_st;
 
 namespace myproxy::pki {
 
@@ -26,29 +29,39 @@ class CertificateRequest {
   static CertificateRequest create(const DistinguishedName& subject,
                                    const crypto::KeyPair& key);
 
+  /// The first CERTIFICATE REQUEST block of `pem`. Throws ParseError if
+  /// there is none or its DER is malformed, CryptoError if its public key
+  /// does not decode.
   static CertificateRequest from_pem(std::string_view pem);
 
   [[nodiscard]] std::string to_pem() const;
 
+  /// Parsed from the request's Name on each call. Throws ParseError.
   [[nodiscard]] DistinguishedName subject() const;
 
   /// Public key the requester proved possession of (public half only).
   [[nodiscard]] crypto::KeyPair public_key() const;
 
-  /// Verify the CSR's self-signature (proof of possession of the key).
+  /// Verify the CSR's self-signature (proof of possession of the key) over
+  /// the CertificationRequestInfo bytes as they arrived.
   [[nodiscard]] bool verify() const;
 
-  [[nodiscard]] bool valid() const noexcept { return req_ != nullptr; }
+  /// The SubjectPublicKeyInfo bytes as encoded in the request.
+  [[nodiscard]] std::string_view spki_der() const;
 
-  [[nodiscard]] X509_REQ* native() const noexcept { return req_.get(); }
+  [[nodiscard]] bool valid() const noexcept { return encoding_ != nullptr; }
 
  private:
-  /// The requester's public key, borrowed from key_ or the parsed request.
-  [[nodiscard]] EVP_PKEY* key() const;
+  struct Encoding;
 
-  std::shared_ptr<X509_REQ> req_;
-  /// Set by create(): the requester's own key. A parsed request has none
-  /// and uses the key OpenSSL decoded from its SubjectPublicKeyInfo.
+  /// Walk a CertificationRequest (RFC 2986 §4) and record where its parts
+  /// are. Throws ParseError.
+  static std::shared_ptr<const Encoding> read(std::string encoded);
+  [[nodiscard]] const Encoding& encoding() const;
+
+  std::shared_ptr<const Encoding> encoding_;
+  /// The requester's key: its own for a created request, else the one
+  /// decoded from the SubjectPublicKeyInfo.
   crypto::KeyPair key_;
 };
 

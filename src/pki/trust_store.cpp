@@ -151,6 +151,7 @@ VerifiedIdentity TrustStore::verify(std::span<const Certificate> chain,
   }
   out.identity = eec.subject();
   out.end_entity = eec;
+  out.chain.assign(chain.begin(), chain.end());
 
   // A restriction policy on the EEC itself also applies (a site may issue
   // restricted service certs).

@@ -46,6 +46,12 @@ struct VerifiedIdentity {
   /// End-entity certificate itself (for gridmap lookups, renewal, audit).
   Certificate end_entity;
 
+  /// The verified chain, leaf first; empty for an identity unsealed from a
+  /// resumption ticket. Receivers pass it to chain_from_pem so that the
+  /// peer's own certificates, sent back to it or stored for it, are not
+  /// decoded a second time.
+  std::vector<Certificate> chain;
+
   /// Number of proxy links between the leaf and the EEC (0 = EEC itself).
   std::size_t proxy_depth = 0;
 

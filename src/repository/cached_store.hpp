@@ -1,10 +1,12 @@
 // Read-through cache in front of a CredentialStore.
 //
 // The portal workload (§3.2) retrieves the same few credentials over and
-// over; with FileCredentialStore every GET pays a file read + parse under
-// one global mutex. CachedCredentialStore keeps recently read records in
-// memory behind sharded locks, so repeat retrievals of the same user hit
-// memory and retrievals of different users proceed on different shards.
+// over. A FileCredentialStore GET finds the record's file in its in-memory
+// index under that shard's shared lock, then opens, reads and parses the
+// file. CachedCredentialStore keeps recently read records in memory behind
+// its own sharded locks, so a repeat retrieval skips the file read and the
+// record parse; retrievals of different users proceed on different shards.
+// It caches records, not parsed certificates (see DESIGN.md fast path).
 //
 // Consistency: every mutation (put / remove / remove_all / sweep_expired)
 // goes to the backing store *while holding the affected shard lock(s)* and

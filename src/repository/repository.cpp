@@ -169,7 +169,7 @@ gsi::Credential Repository::open(const CredentialRecord& record,
       throw AuthenticationError("invalid one-time password");
     }
     store_->put(current);  // persist the advanced chain before releasing
-    return unseal(current, aad);
+    return unseal(current, aad, {});
   }
 
   // OTP-armed records never fall back to pass-phrase authentication, even
@@ -199,7 +199,7 @@ gsi::Credential Repository::open(const CredentialRecord& record,
     log::warn(kLogComponent, "bad pass phrase for user '{}'", username);
     throw AuthenticationError("invalid pass phrase");
   }
-  return unseal(record, aad);
+  return unseal(record, aad, {});
 }
 
 gsi::Credential Repository::open_for_renewal(std::string_view username,
@@ -208,7 +208,8 @@ gsi::Credential Repository::open_for_renewal(std::string_view username,
 }
 
 gsi::Credential Repository::open_for_renewal(
-    const CredentialRecord& record) const {
+    const CredentialRecord& record,
+    std::span<const pki::Certificate> known) const {
   if (record.expired()) {
     throw ExpiredError(fmt::format(
         "stored credential for user '{}' has expired", record.username));
@@ -217,7 +218,7 @@ gsi::Credential Repository::open_for_renewal(
     throw AuthorizationError(
         "stored credential was not marked renewable at store time");
   }
-  return unseal(record, aad_for(record.username, record.name));
+  return unseal(record, aad_for(record.username, record.name), known);
 }
 
 CredentialRecord Repository::stored(std::string_view username,
@@ -230,16 +231,18 @@ CredentialRecord Repository::stored(std::string_view username,
   return std::move(*record);
 }
 
-gsi::Credential Repository::unseal(const CredentialRecord& record,
-                                   std::string_view aad) const {
+gsi::Credential Repository::unseal(
+    const CredentialRecord& record, std::string_view aad,
+    std::span<const pki::Certificate> known) const {
   switch (record.sealing) {
     case Sealing::kMasterKey: {
       const SecureBuffer pem =
           crypto::aead_open(master_key_.bytes(), record.blob, aad);
-      return gsi::Credential::from_pem(pem.view());
+      return gsi::Credential::from_pem(pem.view(), {}, known);
     }
     case Sealing::kPlain:
-      return gsi::Credential::from_pem(encoding::to_string(record.blob));
+      return gsi::Credential::from_pem(encoding::to_string(record.blob), {},
+                                       known);
     case Sealing::kPassphrase:
       break;
   }

@@ -15,6 +15,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -132,9 +133,12 @@ class Repository {
   [[nodiscard]] gsi::Credential open_for_renewal(std::string_view username,
                                                  std::string_view name = {});
 
-  /// As above, for a `record` the caller has already read.
+  /// As above, for a `record` the caller has already read. Stored
+  /// certificates byte-identical to one in `known` (the renewer's verified
+  /// chain) are shared, not decoded.
   [[nodiscard]] gsi::Credential open_for_renewal(
-      const CredentialRecord& record) const;
+      const CredentialRecord& record,
+      std::span<const pki::Certificate> known = {}) const;
 
   /// Record metadata without authentication beyond knowing the name
   /// (server layer gates INFO by the retriever ACL).
@@ -187,8 +191,9 @@ class Repository {
   /// The stored record for (username, name); throws NotFoundError.
   [[nodiscard]] CredentialRecord stored(std::string_view username,
                                         std::string_view name) const;
-  [[nodiscard]] gsi::Credential unseal(const CredentialRecord& record,
-                                       std::string_view aad) const;
+  [[nodiscard]] gsi::Credential unseal(
+      const CredentialRecord& record, std::string_view aad,
+      std::span<const pki::Certificate> known) const;
 
   std::unique_ptr<CredentialStore> store_;
   RepositoryPolicy policy_;

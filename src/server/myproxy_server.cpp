@@ -760,7 +760,8 @@ void MyProxyServer::handle_put(net::Channel& channel, const Request& request,
 
   const std::string chain_pem = channel.receive();
   gsi::Credential delegated =
-      gsi::complete_delegation(std::move(delegation.key), chain_pem);
+      gsi::complete_delegation(std::move(delegation.key), chain_pem,
+                               peer.chain);
 
   // The stored credential must verify under our trust roots and must belong
   // to the connection's authenticated identity — a client cannot park
@@ -854,7 +855,9 @@ void MyProxyServer::handle_renew(net::Channel& channel,
     throw AuthorizationError(fmt::format(
         "'{}' is not an authorized renewer", peer.identity.str()));
   }
-  gsi::Credential stored = repository_->open_for_renewal(*record);
+  // The renewer presents the credential it renews, so the stored chain is
+  // usually part of the one the handshake just verified.
+  gsi::Credential stored = repository_->open_for_renewal(*record, peer.chain);
 
   stats_.renewals.fetch_add(1, std::memory_order_relaxed);
   delegate_to_peer(channel, stored, *record, request.lifetime,

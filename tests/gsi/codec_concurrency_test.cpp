@@ -1,16 +1,19 @@
-// Key import, CSR creation and proxy signing from many threads at once.
-// Each thread decodes private keys with its own OpenSSL decoder context;
+// Key import, CSR creation and parsing, and proxy signing from many threads
+// at once. Each thread decodes private keys and SubjectPublicKeyInfos with
+// its own OpenSSL decoder contexts;
 // these suites interleave every per-request key path so that a context
 // shared by mistake, or a decoded key left behind in one, shows up as a
 // wrong key or a failed verification (and as a race under TSan).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/mutation.hpp"
 #include "gsi/gsi_fixtures.hpp"
 #include "gsi/proxy.hpp"
 #include "pki/trust_store.hpp"
@@ -116,6 +119,84 @@ TEST(CodecConcurrency, ThreadsWithFailedDecodesDoNotDisturbOthers) {
   }
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+
+/// `pem` with the first occurrence of `oid` (DER, tag and length included)
+/// changed in its last byte: the request stays well-formed DER, but its
+/// key's algorithm is one no decoder knows.
+std::string with_unknown_key_algorithm(const std::string& pem,
+                                       const encoding::Bytes& oid) {
+  auto der = mutation::pem_body(pem);
+  const auto at = std::search(der.begin(), der.end(), oid.begin(), oid.end());
+  EXPECT_NE(at, der.end());
+  *(at + static_cast<long>(oid.size()) - 1) = 0x7F;
+  return mutation::pem_wrap("CERTIFICATE REQUEST", der);
+}
+
+TEST(CodecConcurrency, PublicKeyDecodesRecoverFromFailedOnes) {
+  // Four threads parse EC and RSA requests, each good parse right after a
+  // failed public-key decode or a mutated request on the same thread. A
+  // failure rebuilds that thread's decoder; the next request must still
+  // yield its own key and verify.
+  struct Csr {
+    crypto::KeyPair key;
+    std::string pem;
+    std::string undecodable;
+  };
+  const encoding::Bytes ec_oid = {0x06, 0x07, 0x2A, 0x86, 0x48,
+                                  0xCE, 0x3D, 0x02, 0x01};
+  const encoding::Bytes rsa_oid = {0x06, 0x09, 0x2A, 0x86, 0x48, 0x86,
+                                   0xF7, 0x0D, 0x01, 0x01, 0x01};
+  std::vector<Csr> csrs;
+  for (int i = 0; i < 4; ++i) {
+    const bool rsa = i == 3;
+    DelegationRequest request =
+        begin_delegation(rsa ? crypto::KeySpec::rsa(1024)
+                             : crypto::KeySpec::ec());
+    const std::string undecodable = with_unknown_key_algorithm(
+        request.csr_pem, rsa ? rsa_oid : ec_oid);
+    csrs.push_back({request.key, request.csr_pem, undecodable});
+  }
+  constexpr int kCsrThreads = 4;
+  std::atomic<int> failures{0};
+  std::atomic<int> refused{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kCsrThreads);
+  for (int t = 0; t < kCsrThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::uint32_t r = 0; r < 8 * kRounds; ++r) {
+        const Csr& csr = csrs[(t + r) % csrs.size()];
+        const Csr& donor = csrs[(t + r + 1) % csrs.size()];
+        std::string hostile = csr.undecodable;
+        if (r % 2 == 1) {
+          hostile = mutation::pem_wrap(
+              "CERTIFICATE REQUEST",
+              mutation::mutate(mutation::pem_body(csr.pem),
+                               mutation::pem_body(donor.pem),
+                               static_cast<std::uint32_t>(t) * 1000 + r));
+        }
+        try {
+          (void)pki::CertificateRequest::from_pem(hostile).verify();
+        } catch (const Error&) {
+          ++refused;
+        }
+        try {
+          const auto parsed = pki::CertificateRequest::from_pem(csr.pem);
+          if (!parsed.public_key().same_public_key(csr.key) ||
+              !parsed.verify()) {
+            ++failures;
+          }
+        } catch (const std::exception&) {
+          ++failures;
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(failures.load(), 0);
+  // Every unknown-algorithm request is refused at its key decode.
+  EXPECT_GE(refused.load(), kCsrThreads * 4 * kRounds);
 }
 
 }  // namespace

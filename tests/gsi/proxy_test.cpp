@@ -246,6 +246,24 @@ TEST(Delegation, ProxySpkiEqualsCsrSpki) {
   }
 }
 
+TEST(Delegation, ForeignEd25519CsrIsSigned) {
+  // A receiver built on another toolkit may bring an Ed25519 key: its CSR
+  // proves possession, the proxy carries its key, and the chain verifies.
+  const auto alice = make_user("dg-ed25519-alice");
+  EVP_PKEY* raw = EVP_PKEY_Q_keygen(nullptr, nullptr, "ED25519");
+  ASSERT_NE(raw, nullptr);
+  auto key = crypto::KeyPair::adopt(raw, /*has_private=*/true);
+  const std::string csr_pem =
+      pki::testing::openssl_signed_csr_pem(key.native(), nullptr);
+  const std::string chain_pem = delegate_credential(alice, csr_pem);
+  const auto leaf = pki::Certificate::chain_from_pem(chain_pem).front();
+  EXPECT_EQ(pki::testing::spki_der(leaf),
+            pki::testing::encoded_public_key(key));
+  const Credential got = complete_delegation(std::move(key), chain_pem);
+  const auto id = make_trust_store().verify(got.full_chain());
+  EXPECT_EQ(id.identity, alice.identity());
+}
+
 // --- Hostile CSRs ---------------------------------------------------------------
 
 TEST(Delegation, MutatedCsrEitherSignsOrThrowsTypedError) {

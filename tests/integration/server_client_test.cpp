@@ -294,6 +294,63 @@ TEST_F(MyProxyIntegrationTest, RenewalRefusedWhenNotArmed) {
   EXPECT_THROW((void)job_client.renew("alice"), Error);
 }
 
+// --- RENEW unseal with and without the presenter's chain -------------------
+//
+// The server shares certificates of the verified peer chain that are
+// byte-identical to stored ones, and parses the rest. Each case must give
+// the same renewal.
+
+/// Store `stored` for "alice" as renewable by its own identity.
+void store_renewable(repository::Repository& repo,
+                     const gsi::Credential& stored) {
+  repository::StoreOptions options;
+  options.renewer_patterns = {stored.identity().str()};
+  repo.store("alice", kPhrase, stored.identity().str(), stored, options);
+}
+
+/// The renewed credential is a fresh proxy over exactly the stored chain.
+void expect_renewal_of(const gsi::Credential& renewed,
+                       const gsi::Credential& stored) {
+  EXPECT_EQ(renewed.identity(), stored.identity());
+  ASSERT_EQ(renewed.chain().size(), stored.full_chain().size());
+  for (std::size_t i = 0; i < renewed.chain().size(); ++i) {
+    EXPECT_EQ(renewed.chain()[i].der(), stored.full_chain()[i].der());
+  }
+  EXPECT_NO_THROW((void)make_trust_store().verify(renewed.full_chain()));
+}
+
+TEST_F(MyProxyIntegrationTest, RenewalWhenPresenterHoldsTheStoredChain) {
+  const auto alice = make_user("int-renew-same-alice");
+  const auto job_proxy = gsi::create_proxy(alice);
+  store_renewable(*repo_, job_proxy);
+  auto job_client = client_for(job_proxy);
+  expect_renewal_of(job_client.renew("alice"), job_proxy);
+  EXPECT_EQ(server_->stats().full_handshakes.load(), 1u);
+}
+
+TEST_F(MyProxyIntegrationTest, RenewalOverResumedSessionParsesStoredChain) {
+  // A resumed session carries no certificate chain, so nothing is shared.
+  const auto alice = make_user("int-renew-resume-alice");
+  const auto job_proxy = gsi::create_proxy(alice);
+  store_renewable(*repo_, job_proxy);
+  auto job_client = client_for(job_proxy);
+  expect_renewal_of(job_client.renew("alice"), job_proxy);
+  expect_renewal_of(job_client.renew("alice"), job_proxy);
+  EXPECT_EQ(server_->stats().resumed_handshakes.load(), 1u);
+  EXPECT_EQ(server_->stats().renewals.load(), 2u);
+}
+
+TEST_F(MyProxyIntegrationTest, RenewalByPresenterWithOtherCertificates) {
+  // Alice's certificate was re-issued (same DN, new key and serial): none
+  // of the presenter's certificates is byte-identical to a stored one.
+  const auto stored = gsi::create_proxy(make_user("int-renew-other-alice"));
+  store_renewable(*repo_, stored);
+  const auto reissued = make_user("int-renew-other-alice");
+  ASSERT_NE(reissued.certificate().der(), stored.chain().front().der());
+  auto job_client = client_for(gsi::create_proxy(reissued));
+  expect_renewal_of(job_client.renew("alice"), stored);
+}
+
 TEST_F(MyProxyIntegrationTest, WalletListAndTaskSelection) {
   // §6.2 electronic wallet.
   const auto alice = make_user("int-wallet-alice");

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "common/mutation.hpp"
 #include "pki/certificate_request.hpp"
 #include "pki/pki_fixtures.hpp"
 
@@ -11,6 +12,7 @@ namespace {
 
 using testing::encoded_public_key;
 using testing::make_identity;
+using testing::openssl_signed_csr_pem;
 using testing::spki_der;
 using testing::test_ca;
 
@@ -73,6 +75,42 @@ TEST(CertificateRequest, PublicKeyCarriesNoPrivateHalf) {
 
 TEST(CertificateRequest, FromPemRejectsGarbage) {
   EXPECT_THROW(CertificateRequest::from_pem("nope"), ParseError);
+}
+
+TEST(CertificateRequest, ForeignEd25519AndPssRequestsVerify) {
+  // Other clients may sign with Ed25519 (no digest) or RSASSA-PSS (the
+  // parameters ride in the algorithm identifier). Both prove possession as
+  // X509_REQ_verify sees it, and one flipped signature bit does not.
+  crypto::EvpPkeyPtr ed25519(EVP_PKEY_Q_keygen(nullptr, nullptr, "ED25519"));
+  ASSERT_NE(ed25519, nullptr);
+  const auto rsa = crypto::KeyPair::generate(crypto::KeySpec::rsa(1024));
+  struct Case {
+    const char* name;
+    EVP_PKEY* key;
+    const EVP_MD* md;
+    bool pss;
+  };
+  const Case cases[] = {
+      {"ed25519", ed25519.get(), nullptr, false},
+      {"rsa-pss", rsa.native(), EVP_sha256(), true},
+      {"rsa pkcs1", rsa.native(), EVP_sha256(), false},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string pem = openssl_signed_csr_pem(c.key, c.md, c.pss);
+    const auto csr = CertificateRequest::from_pem(pem);
+    EXPECT_TRUE(csr.verify());
+    EXPECT_EQ(csr.subject(), DistinguishedName::parse("/CN=foreign"));
+    EXPECT_EQ(i2d_PUBKEY(csr.public_key().native(), nullptr),
+              i2d_PUBKEY(c.key, nullptr));
+
+    auto der = mutation::pem_body(pem);
+    der.back() ^= 0x01;
+    EXPECT_FALSE(
+        CertificateRequest::from_pem(
+            mutation::pem_wrap("CERTIFICATE REQUEST", der))
+            .verify());
+  }
 }
 
 TEST(CertificateAuthority, SelfSignedRoot) {

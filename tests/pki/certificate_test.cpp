@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/error.hpp"
+#include "common/mutation.hpp"
+#include "crypto/openssl_util.hpp"
 #include "pki/certificate_builder.hpp"
 #include "pki/pki_fixtures.hpp"
 
@@ -250,6 +254,118 @@ TEST(ChainFromPem, OtherBlocksAndTextBetweenCertificatesSkipped) {
   const auto chain = Certificate::chain_from_pem(pem);
   ASSERT_EQ(chain.size(), 2U);
   EXPECT_EQ(chain[1], b.cert);
+}
+
+
+// --- chain_from_pem with known certificates -----------------------------------
+
+/// DER of every certificate block in `pem`, read as chain_from_pem reads.
+std::vector<std::string> certificate_blocks(const std::string& pem) {
+  crypto::BioPtr bio = crypto::memory_bio(pem);
+  std::vector<std::string> out;
+  crypto::PemBlock block;
+  while (block.read(bio.get())) {
+    if (std::strcmp(block.name, "CERTIFICATE") == 0 ||
+        std::strcmp(block.name, "X509 CERTIFICATE") == 0) {
+      out.emplace_back(block.der_view());
+    }
+    block.clear();
+  }
+  (void)crypto::drain_error_queue();
+  return out;
+}
+
+TEST(ChainFromPem, KnownCertificatesAreSharedNotParsed) {
+  const auto leaf = make_identity("cfp-known-leaf");
+  const auto issuer = make_identity("cfp-known-issuer");
+  const auto other = make_identity("cfp-known-other");
+  const std::string pem =
+      leaf.cert.to_pem() + leaf.key.private_pem().str() + issuer.cert.to_pem();
+  const std::vector<Certificate> known = {issuer.cert, other.cert};
+
+  const auto chain = Certificate::chain_from_pem(pem, known);
+  ASSERT_EQ(chain.size(), 2U);
+  EXPECT_NE(chain[0].native(), leaf.cert.native());  // parsed
+  EXPECT_EQ(chain[0], leaf.cert);
+  EXPECT_EQ(chain[1].native(), issuer.cert.native());  // shared
+  // No known certificates, or none byte-identical: everything is parsed.
+  for (const auto& parsed :
+       {Certificate::chain_from_pem(pem),
+        Certificate::chain_from_pem(pem, std::vector{other.cert})}) {
+    ASSERT_EQ(parsed.size(), 2U);
+    EXPECT_NE(parsed[1].native(), issuer.cert.native());
+    EXPECT_EQ(parsed[1], issuer.cert);
+  }
+}
+
+TEST(ChainFromPem, TrailingBytesInsideABlockThrow) {
+  const auto a = make_identity("cfp-trailing");
+  auto der = mutation::pem_body(a.cert.to_pem());
+  der.push_back(0x00);
+  EXPECT_THROW(
+      (void)Certificate::chain_from_pem(mutation::pem_wrap("CERTIFICATE", der)),
+      ParseError);
+  EXPECT_THROW((void)Certificate::chain_from_pem(
+                   mutation::pem_wrap("CERTIFICATE", der),
+                   std::vector{a.cert}),
+               ParseError);
+}
+
+TEST(ChainFromPem, KnownChainSurvivesMutations) {
+  // Half the cases mutate one certificate's DER under intact armour, half
+  // the credential PEM's text. Whatever parses must be exactly its blocks,
+  // and a known certificate is handed out only for its own bytes.
+  const auto leaf = make_identity("cfp-mut-leaf");
+  const auto issuer = make_identity("cfp-mut-issuer");
+  const auto donor = make_identity("cfp-mut-donor");
+  const std::string leaf_pem = leaf.cert.to_pem();
+  const std::string key_pem = leaf.key.private_pem().str();
+  const std::string issuer_pem = issuer.cert.to_pem();
+  const std::string pem = leaf_pem + key_pem + issuer_pem;
+  const auto leaf_der = mutation::pem_body(leaf_pem);
+  const auto issuer_der = mutation::pem_body(issuer_pem);
+  const auto text = encoding::to_bytes(pem);
+  const auto donor_text = encoding::to_bytes(donor.cert.to_pem() + key_pem);
+  const std::vector<Certificate> known = {leaf.cert, issuer.cert};
+  const std::vector<std::string> known_der = {leaf.cert.der(),
+                                              issuer.cert.der()};
+
+  int parsed = 0;
+  int refused = 0;
+  for (std::uint32_t i = 0; i < 1000; ++i) {
+    std::string input;
+    if (i % 2 == 0) {
+      const bool first = (i % 4) == 0;
+      const std::string mutated = mutation::pem_wrap(
+          "CERTIFICATE", mutation::mutate(first ? leaf_der : issuer_der,
+                                          first ? issuer_der : leaf_der, i));
+      input = first ? mutated + key_pem + issuer_pem
+                    : leaf_pem + key_pem + mutated;
+    } else {
+      input = encoding::to_string(mutation::mutate(text, donor_text, i));
+    }
+    std::vector<Certificate> chain;
+    try {
+      chain = Certificate::chain_from_pem(input, known);
+    } catch (const ParseError&) {
+      ++refused;
+      continue;
+    }
+    ++parsed;
+    const auto blocks = certificate_blocks(input);
+    ASSERT_EQ(chain.size(), blocks.size()) << "case " << i;
+    for (std::size_t j = 0; j < chain.size(); ++j) {
+      EXPECT_EQ(chain[j].der(), blocks[j]) << "case " << i << " cert " << j;
+      for (std::size_t k = 0; k < known.size(); ++k) {
+        EXPECT_EQ(chain[j].native() == known[k].native(),
+                  blocks[j] == known_der[k])
+            << "case " << i << " cert " << j << " known " << k;
+      }
+    }
+  }
+  EXPECT_EQ(parsed + refused, 1000);
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(refused, 500);
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <openssl/x509.h>
+
 #include "common/error.hpp"
+#include "common/mutation.hpp"
 
 namespace myproxy::pki {
 namespace {
@@ -41,8 +44,7 @@ TEST(DistinguishedName, X509NameRoundTrip) {
   const auto dn = DistinguishedName::parse("/C=US/O=Grid/CN=Alice");
   X509_NAME* name = dn.to_x509_name();
   const auto back = DistinguishedName::from_x509_name(name);
-  // X509_NAME_free is not visible here without OpenSSL headers; use the
-  // parse/render invariant instead and leak-check via ASAN builds.
+  X509_NAME_free(name);
   EXPECT_EQ(back, dn);
 }
 
@@ -87,6 +89,41 @@ TEST(DistinguishedName, ComparisonIsTotal) {
 
 TEST(DistinguishedName, ParentOfEmptyIsEmpty) {
   EXPECT_TRUE(DistinguishedName().parent().empty());
+}
+
+
+TEST(DistinguishedName, ParseSurvivesMutations) {
+  // The ticket identity (unseal_identity) and configuration ACLs reach this
+  // parser. It may only refuse with ParseError; what it accepts renders
+  // back to itself.
+  const auto input = encoding::to_bytes(
+      "/C=US/O=Grid/OU=People/CN=Alice \\/ Bob/CN=proxy");
+  const auto donor = encoding::to_bytes(
+      "/DC=org/DC=example/OU=Services/CN=host\\/myproxy.example.org");
+  int accepted = 0;
+  int refused = 0;
+  for (std::uint32_t i = 0; i < 1000; ++i) {
+    const std::string text =
+        encoding::to_string(mutation::mutate(input, donor, i));
+    DistinguishedName dn;
+    try {
+      dn = DistinguishedName::parse(text);
+    } catch (const ParseError&) {
+      ++refused;
+      continue;
+    }
+    ++accepted;
+    EXPECT_EQ(DistinguishedName::parse(dn.str()), dn) << "case " << i;
+    // Building an X509_NAME either works or refuses with a typed error
+    // (values need not be UTF-8).
+    try {
+      X509_NAME_free(dn.to_x509_name());
+    } catch (const Error&) {
+    }
+  }
+  EXPECT_EQ(accepted + refused, 1000);
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(refused, 0);
 }
 
 }  // namespace

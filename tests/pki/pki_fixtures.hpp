@@ -2,12 +2,16 @@
 // cheap; RSA-specific behaviour is covered in key_pair_test.cpp.
 #pragma once
 
+#include <openssl/pem.h>
+#include <openssl/rsa.h>
 #include <openssl/x509.h>
 
+#include <string>
 #include <vector>
 
 #include "common/clock.hpp"
 #include "crypto/key_pair.hpp"
+#include "crypto/openssl_util.hpp"
 #include "pki/certificate.hpp"
 #include "pki/certificate_authority.hpp"
 #include "pki/certificate_builder.hpp"
@@ -76,7 +80,8 @@ inline std::vector<unsigned char> spki_der(const Certificate& cert) {
 }
 
 inline std::vector<unsigned char> spki_der(const CertificateRequest& csr) {
-  return spki_der(X509_REQ_get_X509_PUBKEY(csr.native()));
+  const std::string_view der = csr.spki_der();
+  return {der.begin(), der.end()};
 }
 
 /// i2d_PUBKEY of `key`: what OpenSSL's encoder writes for it.
@@ -88,6 +93,37 @@ inline std::vector<unsigned char> encoded_public_key(
   if (len > 0) out.assign(der, der + len);
   OPENSSL_free(der);
   return out;
+}
+
+/// A CSR for /CN=foreign that OpenSSL builds and signs itself, as another
+/// client's toolkit would: `md` null for Ed25519/Ed448, `pss` for
+/// RSASSA-PSS padding with a digest-sized salt.
+inline std::string openssl_signed_csr_pem(EVP_PKEY* key, const EVP_MD* md,
+                                          bool pss = false) {
+  crypto::X509ReqPtr req(crypto::check_ptr(X509_REQ_new(), "X509_REQ_new"));
+  crypto::check(
+      X509_NAME_add_entry_by_txt(
+          X509_REQ_get_subject_name(req.get()), "CN", MBSTRING_ASC,
+          reinterpret_cast<const unsigned char*>("foreign"), -1, -1, 0),
+      "X509_NAME_add_entry_by_txt");
+  crypto::check(X509_REQ_set_pubkey(req.get(), key), "X509_REQ_set_pubkey");
+  crypto::EvpMdCtxPtr ctx(crypto::check_ptr(EVP_MD_CTX_new(), "EVP_MD_CTX"));
+  EVP_PKEY_CTX* pctx = nullptr;
+  crypto::check(EVP_DigestSignInit(ctx.get(), &pctx, md, nullptr, key),
+                "EVP_DigestSignInit");
+  if (pss) {
+    crypto::check(EVP_PKEY_CTX_set_rsa_padding(pctx, RSA_PKCS1_PSS_PADDING),
+                  "set_rsa_padding");
+    crypto::check(EVP_PKEY_CTX_set_rsa_pss_saltlen(pctx, RSA_PSS_SALTLEN_DIGEST),
+                  "set_rsa_pss_saltlen");
+  }
+  if (X509_REQ_sign_ctx(req.get(), ctx.get()) <= 0) {
+    crypto::throw_openssl("X509_REQ_sign_ctx");
+  }
+  crypto::BioPtr bio = crypto::memory_bio();
+  crypto::check(PEM_write_bio_X509_REQ(bio.get(), req.get()),
+                "PEM_write_bio_X509_REQ");
+  return crypto::bio_to_string(bio.get());
 }
 
 }  // namespace myproxy::pki::testing

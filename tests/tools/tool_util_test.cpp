@@ -6,6 +6,8 @@
 
 #include <unistd.h>
 
+#include "common/error.hpp"
+#include "common/mutation.hpp"
 #include "gsi/gsi_fixtures.hpp"
 #include "gsi/proxy.hpp"
 
@@ -114,6 +116,30 @@ TEST(CredentialIo, LoadCredentialAndTrustStore) {
   EXPECT_EQ(store.root_count(), 1u);
   EXPECT_NO_THROW((void)store.verify(gsi::create_proxy(loaded).full_chain()));
 
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CredentialIo, TrustStoreRefusesABundleWithANonDerRoot) {
+  // Certificates must be DER (RFC 5280 §4.1). A root whose outer length is
+  // written in a longer form than needed is BER that d2i_X509 accepts, but
+  // it would not be the bytes it was read from, so the whole bundle is
+  // refused rather than loaded with that root re-encoded.
+  const auto dir = temp_path("myproxy-toolutil-ber-test");
+  std::filesystem::create_directories(dir);
+  const std::string root_pem = gsi::testing::test_ca().certificate().to_pem();
+  auto der = mutation::pem_body(root_pem);
+  ASSERT_EQ(der[1], 0x82);  // two length octets: make them three
+  der[1] = 0x83;
+  der.insert(der.begin() + 2, 0x00);
+  write_file(dir / "ca.pem", root_pem + mutation::pem_wrap("CERTIFICATE", der));
+  try {
+    (void)load_trust_store(dir / "ca.pem");
+    ADD_FAILURE() << "a non-DER root was loaded";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("certificate 2 is not in canonical DER"),
+              std::string::npos)
+        << e.what();
+  }
   std::filesystem::remove_all(dir);
 }
 
