@@ -59,25 +59,35 @@ MyProxyClient::MyProxyClient(gsi::Credential credential,
 }
 
 std::vector<std::uint16_t> MyProxyClient::candidates(
-    OpKind kind, std::string_view username) const {
+    bool write, std::string_view username) const {
   if (cluster_routing_ && cluster_map_.has_value() &&
       !cluster_map_->empty() && !username.empty()) {
     const cluster::ShardNode& owner = cluster_map_->owner(username);
-    if (kind == OpKind::kWrite) return {owner.primary};
+    if (write) return {owner.primary};
     std::vector<std::uint16_t> order = owner.replicas;
     order.push_back(owner.primary);
     return order;
   }
-  if (kind == OpKind::kWrite) return {ports_.front()};
+  if (write) return {ports_.front()};
   if (ports_.size() == 1) return ports_;
   std::vector<std::uint16_t> order(ports_.begin() + 1, ports_.end());
   order.push_back(ports_.front());
   return order;
 }
 
-template <typename Fn>
-auto MyProxyClient::run_op(OpKind kind, std::string_view username, Fn&& fn)
-    -> decltype(fn(std::uint16_t{})) {
+template <typename Step>
+auto MyProxyClient::run_op(const Request& request, Step&& step)
+    -> decltype(step(std::declval<tls::TlsChannel&>(),
+                     std::declval<const Response&>())) {
+  const bool write = protocol::writes_store(request);
+  const std::string& username = request.username;
+  const auto attempt = [&](std::uint16_t port) {
+    auto channel = connect(port);
+    const Response response = transact(*channel, request);
+    auto result = step(*channel, response);
+    cache_session(port, *channel);
+    return result;
+  };
   const int hop_budget = std::max(0, retry_policy_.max_redirect_hops);
   int hops = 0;
   // A redirect names one definite destination; it overrides the computed
@@ -86,21 +96,20 @@ auto MyProxyClient::run_op(OpKind kind, std::string_view username, Fn&& fn)
   for (;;) {
     const std::vector<std::uint16_t> order =
         forced.has_value() ? std::vector<std::uint16_t>{*forced}
-                           : candidates(kind, username);
+                           : candidates(write, username);
     forced.reset();
     try {
       for (std::size_t i = 0; i < order.size(); ++i) {
         const bool last = i + 1 == order.size();
         try {
-          return run_with_busy_retry(fn, order[i]);
+          return run_with_busy_retry(attempt, order[i]);
         } catch (const ReplicaRedirect& e) {
           // A write landed on a replica: handled by the outer hop loop,
           // which follows the named primary. A read landed on a server
           // that insists on the primary (e.g. an OTP retrieval): fall
           // through to the next endpoint — the primary is always last in
           // a read order.
-          if (kind == OpKind::kWrite) throw;
-          if (last) throw;
+          if (write || last) throw;
           log::warn(kLogComponent,
                     "endpoint {} redirected ({}); failing over", order[i],
                     e.what());
@@ -141,7 +150,7 @@ auto MyProxyClient::run_op(OpKind kind, std::string_view username, Fn&& fn)
       // demoted, or the list simply starts with a replica). The refusal
       // names the real primary — follow it rather than hard-failing on
       // information we were just handed, within the shared hop budget.
-      if (kind != OpKind::kWrite) throw;
+      if (!write) throw;
       const std::uint16_t hint = e.primary_port();
       if (hint == 0) throw;
       if (++hops > hop_budget) {
@@ -426,36 +435,29 @@ void MyProxyClient::put(std::string_view username,
                         std::string_view pass_phrase,
                         const gsi::Credential& source,
                         const PutOptions& options) {
-  run_op(OpKind::kWrite, username, [&](std::uint16_t port) {
-    auto channel = connect(port);
-    Request request;
-    request.command = Command::kPut;
-    request.username = std::string(username);
-    request.passphrase = std::string(pass_phrase);
-    request.auth_mode =
-        options.use_otp ? AuthMode::kOtp : AuthMode::kPassphrase;
-    request.lifetime = options.max_delegation_lifetime;
-    request.credential_name = options.credential_name;
-    request.retriever_patterns = options.retriever_patterns;
-    request.renewer_patterns = options.renewer_patterns;
-    request.want_limited = options.always_limited;
-    request.restriction = options.restriction;
-    request.task = options.task_tags;
-    (void)transact(*channel, request);
-
+  Request request;
+  request.command = Command::kPut;
+  request.username = std::string(username);
+  request.passphrase = std::string(pass_phrase);
+  request.auth_mode = options.use_otp ? AuthMode::kOtp : AuthMode::kPassphrase;
+  request.lifetime = options.max_delegation_lifetime;
+  request.credential_name = options.credential_name;
+  request.retriever_patterns = options.retriever_patterns;
+  request.renewer_patterns = options.renewer_patterns;
+  request.want_limited = options.always_limited;
+  request.restriction = options.restriction;
+  request.task = options.task_tags;
+  run_op(request, [&](tls::TlsChannel& channel, const Response&) {
     // Server sends its CSR; we sign a proxy of `source` for it (Figure 1).
-    const std::string csr_pem = channel->receive();
+    const std::string csr_pem = channel.receive();
     gsi::ProxyOptions proxy_options;
     proxy_options.lifetime = options.stored_lifetime;
-    const std::string chain_pem =
-        gsi::delegate_credential(source, csr_pem, proxy_options);
-    channel->send(chain_pem);
+    channel.send(gsi::delegate_credential(source, csr_pem, proxy_options));
 
     // The refusal can arrive on this second response too (a migration
     // fence or cutover raced the delegation exchange): map it to the same
     // typed errors so the redirect/busy machinery retries the whole put.
-    check_response(Response::parse(channel->receive()), request.command);
-    cache_session(port, *channel);
+    check_response(Response::parse(channel.receive()), request.command);
     log::info(kLogComponent, "delegated credential to repository as '{}'",
               username);
     return 0;
@@ -465,29 +467,21 @@ void MyProxyClient::put(std::string_view username,
 gsi::Credential MyProxyClient::get(std::string_view username,
                                    std::string_view pass_phrase,
                                    const GetOptions& options) {
-  // An OTP retrieval consumes a chain word on the server — a write in
-  // disguise — and must reach the primary.
-  const OpKind kind = options.otp ? OpKind::kWrite : OpKind::kRead;
-  return run_op(kind, username, [&](std::uint16_t port) {
-    auto channel = connect(port);
-    Request request;
-    request.command = Command::kGet;
-    request.username = std::string(username);
-    request.passphrase = std::string(pass_phrase);
-    request.auth_mode = options.otp ? AuthMode::kOtp : AuthMode::kPassphrase;
-    request.lifetime = options.lifetime;
-    request.credential_name = options.credential_name;
-    request.want_limited = options.want_limited;
-    (void)transact(*channel, request);
-
+  Request request;
+  request.command = Command::kGet;
+  request.username = std::string(username);
+  request.passphrase = std::string(pass_phrase);
+  request.auth_mode = options.otp ? AuthMode::kOtp : AuthMode::kPassphrase;
+  request.lifetime = options.lifetime;
+  request.credential_name = options.credential_name;
+  request.want_limited = options.want_limited;
+  return run_op(request, [&](tls::TlsChannel& channel, const Response&) {
     // We are the delegation receiver (Figure 2): fresh key, CSR out,
     // chain in.
     gsi::DelegationRequest delegation = start_delegation(options.key_spec);
-    channel->send(delegation.csr_pem);
-    const std::string chain_pem = channel->receive();
-    gsi::Credential delegated =
-        gsi::complete_delegation(std::move(delegation.key), chain_pem);
-    cache_session(port, *channel);
+    channel.send(delegation.csr_pem);
+    gsi::Credential delegated = gsi::complete_delegation(
+        std::move(delegation.key), channel.receive());
     log::info(kLogComponent, "received delegation for '{}' (expires {})",
               username, format_utc(delegated.not_after()));
     return delegated;
@@ -496,53 +490,39 @@ gsi::Credential MyProxyClient::get(std::string_view username,
 
 gsi::Credential MyProxyClient::renew(std::string_view username,
                                      const GetOptions& options) {
-  return run_op(OpKind::kWrite, username, [&](std::uint16_t port) {
-    auto channel = connect(port);
-    Request request;
-    request.command = Command::kRenew;
-    request.username = std::string(username);
-    request.lifetime = options.lifetime;
-    request.credential_name = options.credential_name;
-    request.want_limited = options.want_limited;
-    (void)transact(*channel, request);
-
+  Request request;
+  request.command = Command::kRenew;
+  request.username = std::string(username);
+  request.lifetime = options.lifetime;
+  request.credential_name = options.credential_name;
+  request.want_limited = options.want_limited;
+  return run_op(request, [&](tls::TlsChannel& channel, const Response&) {
     gsi::DelegationRequest delegation = start_delegation(options.key_spec);
-    channel->send(delegation.csr_pem);
-    const std::string chain_pem = channel->receive();
+    channel.send(delegation.csr_pem);
     // The returned chain holds the stored credential's certificates, which
     // for a renewal are this client's own.
-    gsi::Credential delegated = gsi::complete_delegation(
-        std::move(delegation.key), chain_pem, credential_.full_chain());
-    cache_session(port, *channel);
-    return delegated;
+    return gsi::complete_delegation(std::move(delegation.key),
+                                    channel.receive(),
+                                    credential_.full_chain());
   });
 }
 
 void MyProxyClient::destroy(std::string_view username,
                             std::string_view name) {
-  run_op(OpKind::kWrite, username, [&](std::uint16_t port) {
-    auto channel = connect(port);
-    Request request;
-    request.command = Command::kDestroy;
-    request.username = std::string(username);
-    request.credential_name = std::string(name);
-    (void)transact(*channel, request);
-    cache_session(port, *channel);
-    return 0;
-  });
+  Request request;
+  request.command = Command::kDestroy;
+  request.username = std::string(username);
+  request.credential_name = std::string(name);
+  run_op(request, [](tls::TlsChannel&, const Response&) { return 0; });
 }
 
 StoredCredentialInfo MyProxyClient::info(std::string_view username,
                                          std::string_view name) {
-  return run_op(OpKind::kRead, username, [&](std::uint16_t port) {
-    auto channel = connect(port);
-    Request request;
-    request.command = Command::kInfo;
-    request.username = std::string(username);
-    request.credential_name = std::string(name);
-    const Response response = transact(*channel, request);
-    cache_session(port, *channel);
-
+  Request request;
+  request.command = Command::kInfo;
+  request.username = std::string(username);
+  request.credential_name = std::string(name);
+  return run_op(request, [](tls::TlsChannel&, const Response& response) {
     StoredCredentialInfo out;
     const auto owner = response.fields.find("OWNER");
     if (owner != response.fields.end()) out.owner_dn = owner->second;
@@ -571,13 +551,10 @@ StoredCredentialInfo MyProxyClient::info(std::string_view username,
 }
 
 std::vector<std::string> MyProxyClient::list(std::string_view username) {
-  return run_op(OpKind::kRead, username, [&](std::uint16_t port) {
-    auto channel = connect(port);
-    Request request;
-    request.command = Command::kList;
-    request.username = std::string(username);
-    const Response response = transact(*channel, request);
-    cache_session(port, *channel);
+  Request request;
+  request.command = Command::kList;
+  request.username = std::string(username);
+  return run_op(request, [](tls::TlsChannel&, const Response& response) {
     const auto names = response.fields.find("NAMES");
     if (names == response.fields.end()) return std::vector<std::string>{};
     return strings::split(names->second, '\x1f');
@@ -586,14 +563,11 @@ std::vector<std::string> MyProxyClient::list(std::string_view username) {
 
 std::string MyProxyClient::select_for_task(std::string_view username,
                                            std::string_view task) {
-  return run_op(OpKind::kRead, username, [&](std::uint16_t port) {
-    auto channel = connect(port);
-    Request request;
-    request.command = Command::kList;
-    request.username = std::string(username);
-    request.task = std::string(task);
-    const Response response = transact(*channel, request);
-    cache_session(port, *channel);
+  Request request;
+  request.command = Command::kList;
+  request.username = std::string(username);
+  request.task = std::string(task);
+  return run_op(request, [](tls::TlsChannel&, const Response& response) {
     const auto selected = response.fields.find("SELECTED");
     if (selected == response.fields.end()) {
       throw ProtocolError("server response missing SELECTED field");
@@ -606,44 +580,35 @@ void MyProxyClient::change_passphrase(std::string_view username,
                                       std::string_view old_phrase,
                                       std::string_view new_phrase,
                                       std::string_view name) {
-  run_op(OpKind::kWrite, username, [&](std::uint16_t port) {
-    auto channel = connect(port);
-    Request request;
-    request.command = Command::kChangePassphrase;
-    request.username = std::string(username);
-    request.passphrase = std::string(old_phrase);
-    request.new_passphrase = std::string(new_phrase);
-    request.credential_name = std::string(name);
-    (void)transact(*channel, request);
-    cache_session(port, *channel);
-    return 0;
-  });
+  Request request;
+  request.command = Command::kChangePassphrase;
+  request.username = std::string(username);
+  request.passphrase = std::string(old_phrase);
+  request.new_passphrase = std::string(new_phrase);
+  request.credential_name = std::string(name);
+  run_op(request, [](tls::TlsChannel&, const Response&) { return 0; });
 }
 
 void MyProxyClient::store(std::string_view username,
                           std::string_view pass_phrase,
                           const gsi::Credential& credential,
                           const PutOptions& options) {
-  run_op(OpKind::kWrite, username, [&](std::uint16_t port) {
-    auto channel = connect(port);
-    Request request;
-    request.command = Command::kStore;
-    request.username = std::string(username);
-    request.passphrase = std::string(pass_phrase);
-    request.lifetime = options.max_delegation_lifetime;
-    request.credential_name = options.credential_name;
-    request.retriever_patterns = options.retriever_patterns;
-    request.renewer_patterns = options.renewer_patterns;
-    request.restriction = options.restriction;
-    request.task = options.task_tags;
-    (void)transact(*channel, request);
-
+  Request request;
+  request.command = Command::kStore;
+  request.username = std::string(username);
+  request.passphrase = std::string(pass_phrase);
+  request.lifetime = options.max_delegation_lifetime;
+  request.credential_name = options.credential_name;
+  request.retriever_patterns = options.retriever_patterns;
+  request.renewer_patterns = options.renewer_patterns;
+  request.restriction = options.restriction;
+  request.task = options.task_tags;
+  run_op(request, [&](tls::TlsChannel& channel, const Response&) {
     const SecureBuffer pem = credential.to_pem();
-    channel->send(pem.view());
+    channel.send(pem.view());
     // Same as put(): a fence/cutover refusal on the second response must
     // stay retryable, not collapse into a plain protocol error.
-    check_response(Response::parse(channel->receive()), request.command);
-    cache_session(port, *channel);
+    check_response(Response::parse(channel.receive()), request.command);
     return 0;
   });
 }
@@ -651,27 +616,20 @@ void MyProxyClient::store(std::string_view username,
 gsi::Credential MyProxyClient::retrieve(std::string_view username,
                                         std::string_view pass_phrase,
                                         std::string_view name) {
-  return run_op(OpKind::kRead, username, [&](std::uint16_t port) {
-    auto channel = connect(port);
-    Request request;
-    request.command = Command::kRetrieve;
-    request.username = std::string(username);
-    request.passphrase = std::string(pass_phrase);
-    request.credential_name = std::string(name);
-    (void)transact(*channel, request);
-    const std::string pem = channel->receive();
-    cache_session(port, *channel);
-    return gsi::Credential::from_pem(pem);
+  Request request;
+  request.command = Command::kRetrieve;
+  request.username = std::string(username);
+  request.passphrase = std::string(pass_phrase);
+  request.credential_name = std::string(name);
+  return run_op(request, [](tls::TlsChannel& channel, const Response&) {
+    return gsi::Credential::from_pem(channel.receive());
   });
 }
 
 std::map<std::string, std::string> MyProxyClient::server_stats() {
-  return run_op(OpKind::kRead, {}, [&](std::uint16_t port) {
-    auto channel = connect(port);
-    Request request;
-    request.command = Command::kStats;
-    const Response response = transact(*channel, request);
-    cache_session(port, *channel);
+  Request request;
+  request.command = Command::kStats;
+  return run_op(request, [](tls::TlsChannel&, const Response& response) {
     return response.fields;
   });
 }

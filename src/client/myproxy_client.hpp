@@ -18,6 +18,7 @@
 #include <optional>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster_map.hpp"
@@ -123,7 +124,7 @@ class ReplicaRedirect : public Error {
 };
 
 /// The server shed this request at admission (per-identity rate limit or
-/// fair-queue pressure) and hinted when to retry. run_op honors the hint:
+/// in-flight cap) and hinted when to retry. run_op honors the hint:
 /// it sleeps the larger of the hint and its own backoff, then retries the
 /// same endpoint, up to RetryPolicy::max_attempts tries.
 class ServerBusy : public Error {
@@ -325,31 +326,31 @@ class MyProxyClient {
   [[nodiscard]] std::uint64_t map_refreshes() const { return map_refreshes_; }
 
  private:
-  /// Whether an operation mutates the repository — decides which endpoint
-  /// order run_op tries. OTP-authenticated reads count as writes (OTP
-  /// verification advances the chain on the server).
-  enum class OpKind { kRead, kWrite };
-
-  /// Endpoint order for `kind`. With cluster routing and a map, the order
-  /// comes from `username`'s owning node (its primary for writes, replicas
-  /// then primary for reads). Otherwise: writes go to the primary only —
+  /// Endpoint order for a request that does (`write`) or does not write
+  /// the store. With cluster routing and a map, the order comes from
+  /// `username`'s owning node (its primary for writes, replicas then
+  /// primary for reads). Otherwise: writes go to the primary only —
   /// replicas cannot accept them and there is no automatic promotion, so
   /// failing over a write could at best replay it and at worst misreport
   /// its outcome; reads try replicas first with the primary as the last
   /// resort.
   [[nodiscard]] std::vector<std::uint16_t> candidates(
-      OpKind kind, std::string_view username) const;
+      bool write, std::string_view username) const;
 
-  /// Run `fn(port)` against each candidate endpoint until one succeeds.
+  /// Run `request` against each candidate endpoint until one succeeds:
+  /// connect, send it, check the first response, run `step(channel,
+  /// response)` for the rest of the command's exchange, then cache the
+  /// session. protocol::writes_store(request) picks the endpoint order.
   /// Transport failures (IoError — endpoint dead or unreachable after
   /// connect()'s own retries) and read-only refusals (ReplicaRedirect)
   /// move to the next endpoint. Redirects that carry a destination — a
   /// replica naming its primary, a clustered node naming a shard's owner —
   /// are followed (refreshing the cluster map for WRONG_SHARD) within
   /// RetryPolicy::max_redirect_hops. Everything else propagates unchanged.
-  template <typename Fn>
-  auto run_op(OpKind kind, std::string_view username, Fn&& fn)
-      -> decltype(fn(std::uint16_t{}));
+  template <typename Step>
+  auto run_op(const protocol::Request& request, Step&& step)
+      -> decltype(step(std::declval<tls::TlsChannel&>(),
+                       std::declval<const protocol::Response&>()));
 
   /// Fetch + install the cluster map, trying `preferred` (when non-zero)
   /// before the configured endpoints and any known shard primaries.

@@ -1,5 +1,6 @@
 #include "protocol/message.hpp"
 
+#include <array>
 #include <charconv>
 
 #include "common/error.hpp"
@@ -41,40 +42,65 @@ Command parse_command(std::string_view value) {
   return static_cast<Command>(n);
 }
 
+/// Whether a command writes the store (see writes_store).
+enum class Writes { kNo, kYes, kWithOtp };
+
+/// What client and server both know about each command, one row per
+/// Command in value order. MIGRATE and MIGRATE_INSTALL mutate the store
+/// but are server-to-server control plane: a migration target applies
+/// them directly, so they must never be redirected off a node.
+struct CommandRow {
+  Command command;
+  std::string_view name;
+  Writes writes;
+};
+
+constexpr std::array<CommandRow, static_cast<std::size_t>(kLastCommand) + 1>
+    kCommands = {{
+        {Command::kGet, "GET", Writes::kWithOtp},
+        {Command::kPut, "PUT", Writes::kYes},
+        {Command::kInfo, "INFO", Writes::kNo},
+        {Command::kDestroy, "DESTROY", Writes::kYes},
+        {Command::kChangePassphrase, "CHANGE_PASSPHRASE", Writes::kYes},
+        {Command::kStore, "STORE", Writes::kYes},
+        {Command::kRetrieve, "RETRIEVE", Writes::kWithOtp},
+        {Command::kList, "LIST", Writes::kNo},
+        {Command::kRenew, "RENEW", Writes::kYes},
+        {Command::kReplicaSync, "REPLICA_SYNC", Writes::kNo},
+        {Command::kStats, "STATS", Writes::kNo},
+        {Command::kClusterMap, "CLUSTER_MAP", Writes::kNo},
+        {Command::kMigrate, "MIGRATE", Writes::kNo},
+        {Command::kMigrateInstall, "MIGRATE_INSTALL", Writes::kNo},
+    }};
+
+constexpr bool rows_in_command_order() {
+  for (std::size_t i = 0; i < kCommands.size(); ++i) {
+    if (static_cast<std::size_t>(kCommands[i].command) != i) return false;
+  }
+  return true;
+}
+static_assert(rows_in_command_order());
+
+const CommandRow& row(Command command) {
+  return kCommands[static_cast<std::size_t>(command)];
+}
+
 }  // namespace
 
 std::string_view to_string(Command command) noexcept {
-  switch (command) {
-    case Command::kGet:
-      return "GET";
-    case Command::kPut:
-      return "PUT";
-    case Command::kInfo:
-      return "INFO";
-    case Command::kDestroy:
-      return "DESTROY";
-    case Command::kChangePassphrase:
-      return "CHANGE_PASSPHRASE";
-    case Command::kStore:
-      return "STORE";
-    case Command::kRetrieve:
-      return "RETRIEVE";
-    case Command::kList:
-      return "LIST";
-    case Command::kRenew:
-      return "RENEW";
-    case Command::kReplicaSync:
-      return "REPLICA_SYNC";
-    case Command::kStats:
-      return "STATS";
-    case Command::kClusterMap:
-      return "CLUSTER_MAP";
-    case Command::kMigrate:
-      return "MIGRATE";
-    case Command::kMigrateInstall:
-      return "MIGRATE_INSTALL";
+  return row(command).name;
+}
+
+bool writes_store(const Request& request) noexcept {
+  switch (row(request.command).writes) {
+    case Writes::kYes:
+      return true;
+    case Writes::kWithOtp:
+      return request.auth_mode == AuthMode::kOtp;
+    case Writes::kNo:
+      break;
   }
-  return "?";
+  return false;
 }
 
 std::string_view to_string(AuthMode mode) noexcept {

@@ -47,7 +47,8 @@ enum class Command {
   kMigrateInstall = 13,   ///< server-to-server: receive a migrating shard
 };
 
-/// Largest Command value; sizes per-op tables (latency histograms).
+/// Largest Command value; sizes per-op tables (latency histograms, the
+/// command tables here and in the server).
 inline constexpr Command kLastCommand = Command::kMigrateInstall;
 
 [[nodiscard]] std::string_view to_string(Command command) noexcept;
@@ -96,8 +97,17 @@ struct Request {
   std::string target;
 
   [[nodiscard]] std::string serialize() const;
+  /// Throws ProtocolError on malformed text; an accepted request's command
+  /// is never past kLastCommand.
   static Request parse(std::string_view text);
 };
+
+/// True when `request` writes the store, so it must reach the primary (a
+/// replica redirects it there) and waits out a migration fence. RENEW
+/// counts, since only the primary's master key opens a renewable record,
+/// and so do OTP-authenticated GET and RETRIEVE, since verifying an OTP
+/// word advances the stored chain.
+[[nodiscard]] bool writes_store(const Request& request) noexcept;
 
 struct Response {
   enum class Status { kOk, kError };

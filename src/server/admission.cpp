@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdlib>
-#include <limits>
 
 #include "common/config.hpp"
 #include "common/error.hpp"
@@ -22,8 +21,9 @@ std::size_t identity_hash(const std::string& key) {
   return static_cast<std::size_t>(hash);
 }
 
-/// No natural bucket time applies to a fair-queue refusal; hint a short,
-/// jitter-friendly pause so a shed client re-offers after slots churn.
+/// No natural bucket time applies to an in-flight cap refusal; hint a
+/// short, jitter-friendly pause so a shed client re-offers after its own
+/// requests finish.
 constexpr Millis kQueueRetryAfter{100};
 
 /// Strict double parse for config values ("2.5"); rejects trailing junk.
@@ -109,61 +109,28 @@ double TokenBucket::tokens(Clock::time_point now) const {
 
 // --- FairQueue ---------------------------------------------------------------
 
-FairQueue::FairQueue(std::size_t capacity, std::size_t max_per_identity)
-    : capacity_(capacity), max_per_identity_(max_per_identity) {}
+FairQueue::FairQueue(std::size_t max_per_identity)
+    : max_per_identity_(max_per_identity) {}
 
-bool FairQueue::try_enter(const std::string& identity, double weight) {
+bool FairQueue::try_enter(const std::string& identity) {
   const std::scoped_lock lock(mutex_);
-  if (capacity_ != 0 && total_ >= capacity_) return false;
-
-  const auto it = entries_.find(identity);
-  const std::size_t held = it == entries_.end() ? 0 : it->second.count;
-
-  std::size_t cap = max_per_identity_ != 0
-                        ? max_per_identity_
-                        : std::numeric_limits<std::size_t>::max();
-  if (capacity_ != 0) {
-    // Dynamic fair share: this identity's weight over everyone currently
-    // holding slots (counting itself once even if idle).
-    const double contending =
-        active_weight_ + (held == 0 ? weight : 0.0);
-    const double share =
-        contending > 0.0
-            ? static_cast<double>(capacity_) * weight / contending
-            : static_cast<double>(capacity_);
-    cap = std::min(cap, std::max<std::size_t>(
-                            1, static_cast<std::size_t>(share)));
-  }
-  if (held >= cap) return false;
-
-  if (it == entries_.end()) {
-    entries_.emplace(identity, Entry{1, weight});
-    active_weight_ += weight;
-  } else {
-    if (it->second.count == 0) active_weight_ += it->second.weight;
-    it->second.count += 1;
-  }
+  std::size_t& held = held_[identity];
+  if (max_per_identity_ != 0 && held >= max_per_identity_) return false;
+  held += 1;
   total_ += 1;
   return true;
 }
 
 void FairQueue::leave(const std::string& identity) {
   const std::scoped_lock lock(mutex_);
-  const auto it = entries_.find(identity);
-  if (it == entries_.end() || it->second.count == 0) return;
-  it->second.count -= 1;
-  if (total_ > 0) total_ -= 1;
-  if (it->second.count == 0) {
-    active_weight_ -= it->second.weight;
-    if (active_weight_ < 0.0) active_weight_ = 0.0;
-    entries_.erase(it);
-  }
+  const auto it = held_.find(identity);
+  if (it == held_.end()) return;
+  total_ -= 1;
+  if (--it->second == 0) held_.erase(it);
 }
 
-void FairQueue::configure(std::size_t capacity,
-                          std::size_t max_per_identity) {
+void FairQueue::configure(std::size_t max_per_identity) {
   const std::scoped_lock lock(mutex_);
-  capacity_ = capacity;
   max_per_identity_ = max_per_identity;
 }
 
@@ -176,7 +143,7 @@ std::size_t FairQueue::active() const {
 
 AdmissionController::AdmissionController(AdmissionLimits limits)
     : limits_(limits),
-      queue_(limits.queue_capacity, limits.max_queued_per_identity) {}
+      queue_(limits.max_queued_per_identity) {}
 
 AdmissionController::Stripe& AdmissionController::stripe_for(
     Stripe* stripes, const std::string& key) {
@@ -233,7 +200,6 @@ AdmissionDecision AdmissionController::admit_preauth(
 }
 
 AdmissionDecision AdmissionController::admit(const std::string& identity,
-                                             double weight,
                                              Clock::time_point now) {
   double rate = 0.0;
   double burst = 0.0;
@@ -252,7 +218,7 @@ AdmissionDecision AdmissionController::admit(const std::string& identity,
     note_outcome(identity, false);
     return decision;
   }
-  if (!queue_.try_enter(identity, weight)) {
+  if (!queue_.try_enter(identity)) {
     decision.admitted = false;
     decision.reason = "queue";
     decision.retry_after = kQueueRetryAfter;
@@ -308,7 +274,7 @@ void AdmissionController::set_limits(const AdmissionLimits& limits) {
     const std::scoped_lock lock(limits_mutex_);
     limits_ = limits;
   }
-  queue_.configure(limits.queue_capacity, limits.max_queued_per_identity);
+  queue_.configure(limits.max_queued_per_identity);
   // Existing buckets reconfigure lazily on their next admission decision.
   generation_.fetch_add(1, std::memory_order_release);
 }

@@ -12,11 +12,13 @@
 //     portal farm shares one address, so this knob is deliberately
 //     separate from the per-DN limits.
 //
-//   * Post-auth (authenticated DN): a token bucket per identity plus a
-//     weighted fair queue over the dispatch capacity, consulted in the
-//     server's dispatch once GSI authentication has named the caller. An
-//     over-limit request receives a framed busy reply carrying
-//     BUSY=1 / RETRY_AFTER_MS=<n> instead of occupying a worker; the
+//   * Post-auth (authenticated DN): a token bucket per identity plus a cap
+//     on the requests one identity has in dispatch at once, consulted in
+//     the server's dispatch once GSI authentication has named the caller.
+//     The buckets are what keep identities apart: dispatch runs on a
+//     worker, so the in-flight cap binds only when it is below the worker
+//     count. An over-limit request receives a framed busy reply carrying
+//     BUSY=1 / RETRY_AFTER_MS=<n> and releases its worker at once; the
 //     client's RetryPolicy honours the hint.
 //
 // Limits hot-reload via AdmissionController::set_limits (driven by the
@@ -51,14 +53,9 @@ struct AdmissionLimits {
   /// rate. 0 derives max(1, rate_limit_rps).
   double rate_limit_burst = 0.0;
 
-  /// Hard cap on requests one identity may have queued + in dispatch at
-  /// once, regardless of fair share. 0 = unlimited.
+  /// Cap on requests one identity may have in dispatch at once.
+  /// 0 = unlimited.
   std::size_t max_queued_per_identity = 0;
-
-  /// Total dispatch slots the fair queue arbitrates (normally
-  /// worker_threads + max_pending_connections, wired by the server).
-  /// 0 = unlimited (only the per-identity caps apply).
-  std::size_t queue_capacity = 0;
 
   /// Pre-auth per-peer-address token bucket, consulted before a worker or
   /// TLS handshake is spent on the connection. 0 disables (default: every
@@ -70,8 +67,7 @@ struct AdmissionLimits {
 /// Read admission keys (rate_limit_rps, rate_limit_burst,
 /// max_queued_per_identity, preauth_rate_limit_rps,
 /// preauth_rate_limit_burst) from a parsed config file. Keys are optional;
-/// malformed numbers throw ConfigError. queue_capacity is not a file key —
-/// the server derives it from its pool geometry.
+/// malformed numbers throw ConfigError.
 [[nodiscard]] AdmissionLimits admission_limits_from_config(
     const Config& config);
 
@@ -114,38 +110,29 @@ class TokenBucket {
   Clock::time_point last_{};
 };
 
-/// Weighted fair queue over a fixed number of dispatch slots: each active
-/// identity's concurrent share is max(1, capacity * weight / total active
-/// weight), so a flood from one identity cannot monopolize the queue while
-/// others are asking. Converges as slots churn — an identity holding more
-/// than its share is refused re-entry until it drains down.
+/// The per-identity in-flight cap: each identity may hold at most
+/// `max_per_identity` slots at once (0 = unlimited), the same bound for
+/// every DN. It keeps one DN from holding every worker only when the cap
+/// is below the worker count.
 class FairQueue {
  public:
-  FairQueue(std::size_t capacity, std::size_t max_per_identity);
+  explicit FairQueue(std::size_t max_per_identity);
 
-  /// Claim a slot for `identity`; false when the queue is full or the
-  /// identity is at its (fair or hard) share.
-  [[nodiscard]] bool try_enter(const std::string& identity,
-                               double weight = 1.0);
+  /// Claim a slot for `identity`; false when it already holds its cap.
+  [[nodiscard]] bool try_enter(const std::string& identity);
   void leave(const std::string& identity);
 
-  void configure(std::size_t capacity, std::size_t max_per_identity);
+  /// Applies to the next try_enter; slots already held stay held.
+  void configure(std::size_t max_per_identity);
 
   /// Slots currently held (gauge).
   [[nodiscard]] std::size_t active() const;
 
  private:
-  struct Entry {
-    std::size_t count = 0;
-    double weight = 1.0;
-  };
-
   mutable std::mutex mutex_;
-  std::size_t capacity_;
   std::size_t max_per_identity_;
   std::size_t total_ = 0;
-  double active_weight_ = 0.0;  ///< sum of weights of identities holding slots
-  std::unordered_map<std::string, Entry> entries_;
+  std::unordered_map<std::string, std::size_t> held_;
 };
 
 struct AdmissionDecision {
@@ -169,11 +156,10 @@ class AdmissionController {
   [[nodiscard]] AdmissionDecision admit_preauth(
       const std::string& peer_address, Clock::time_point now = Clock::now());
 
-  /// Post-auth gate: rate bucket then fair-queue slot for the DN. An
-  /// admitted call holds a queue slot until release(identity) — pair them
-  /// (or use AdmissionGuard).
+  /// Post-auth gate: rate bucket then in-flight slot for the DN. An
+  /// admitted call holds its slot until release(identity) — pair them (or
+  /// use AdmissionGuard).
   [[nodiscard]] AdmissionDecision admit(const std::string& identity,
-                                        double weight = 1.0,
                                         Clock::time_point now = Clock::now());
   void release(const std::string& identity);
 
@@ -185,10 +171,10 @@ class AdmissionController {
   struct Counters {
     std::uint64_t accepted = 0;          ///< post-auth admissions
     std::uint64_t shed_rate = 0;         ///< refused by a DN token bucket
-    std::uint64_t shed_queue = 0;        ///< refused by the fair queue
+    std::uint64_t shed_queue = 0;        ///< refused by the in-flight cap
     std::uint64_t preauth_accepted = 0;  ///< pre-auth admissions
     std::uint64_t preauth_shed = 0;      ///< refused by an address bucket
-    std::uint64_t queued = 0;            ///< gauge: fair-queue slots held
+    std::uint64_t queued = 0;            ///< gauge: in-flight slots held
     std::uint64_t identities = 0;        ///< gauge: tracked DN buckets
   };
   [[nodiscard]] Counters counters() const;
@@ -263,7 +249,7 @@ class AdmissionController {
   std::atomic<std::uint64_t> preauth_shed_{0};
 };
 
-/// RAII for an admitted identity's fair-queue slot.
+/// RAII for an admitted identity's in-flight slot.
 class AdmissionGuard {
  public:
   AdmissionGuard(AdmissionController& controller, std::string identity)

@@ -46,24 +46,10 @@ using protocol::Command;
 using protocol::Request;
 using protocol::Response;
 
-/// Admission limits with the fair queue's capacity derived from the pool
-/// geometry. Derivation only happens once any limiting is configured, so a
-/// server with admission off behaves exactly as before this layer existed.
-AdmissionLimits effective_admission_limits(const AdmissionLimits& requested,
-                                           const ServerConfig& config) {
-  AdmissionLimits limits = requested;
-  const bool enabled = limits.rate_limit_rps > 0.0 ||
-                       limits.max_queued_per_identity > 0 ||
-                       limits.queue_capacity > 0 ||
-                       limits.preauth_rate_limit_rps > 0.0;
-  if (enabled && limits.queue_capacity == 0) {
-    limits.queue_capacity =
-        config.worker_threads + (config.max_pending_connections == 0
-                                     ? 256
-                                     : config.max_pending_connections);
-  }
-  return limits;
-}
+/// Bound on the worker pool's queue of accepted connections awaiting a
+/// worker; a connection the queue cannot take is shed like one over
+/// max_connections.
+constexpr std::size_t kMaxPendingConnections = 256;
 
 /// SIGHUP sets a process-wide generation; each server's reload_tick polls
 /// it every 100 ms and re-reads its own config_file. Signal-handler-safe:
@@ -177,25 +163,6 @@ struct ClusterRefusal {
 /// a handful of journal batches, so one short beat is enough.
 constexpr Millis kFenceRetryAfter{200};
 
-/// Commands exempt from cluster ownership and admission. STATS and
-/// CLUSTER_MAP carry no username to route by, and an operator must always
-/// reach a saturated server; REPLICA_SYNC is a node-local stream that would
-/// otherwise pin a fair-queue slot for the life of the replica; the
-/// migration commands manage ownership itself, and shedding them under load
-/// would wedge exactly the rebalancing meant to relieve the load.
-bool is_control_plane(Command command) {
-  switch (command) {
-    case Command::kStats:
-    case Command::kReplicaSync:
-    case Command::kClusterMap:
-    case Command::kMigrate:
-    case Command::kMigrateInstall:
-      return true;
-    default:
-      return false;
-  }
-}
-
 /// How many per-identity admission rows STATS and /metrics surface.
 constexpr std::size_t kTopIdentities = 5;
 
@@ -227,7 +194,7 @@ MyProxyServer::MyProxyServer(
           host_credential_, tls::PeerAuth::kRequired,
           tls::SessionResumption{config_.tls_session_resumption,
                                  config_.tls_session_timeout})),
-      admission_(effective_admission_limits(config_.admission, config_)) {
+      admission_(config_.admission) {
   if (repository_ == nullptr) {
     throw Error(ErrorCode::kInternal, "server requires a repository");
   }
@@ -285,10 +252,8 @@ void MyProxyServer::start() {
     metrics_listener_.emplace(net::TcpListener::bind(
         config_.metrics_port, config_.metrics_bind_address));
   }
-  pool_ = std::make_unique<ThreadPool>(
-      config_.worker_threads,
-      config_.max_pending_connections == 0 ? 256
-                                           : config_.max_pending_connections);
+  pool_ = std::make_unique<ThreadPool>(config_.worker_threads,
+                                      kMaxPendingConnections);
   reactor_ = std::make_unique<Reactor>(
       *this, *listener_,
       metrics_listener_.has_value() ? &*metrics_listener_ : nullptr,
@@ -332,15 +297,12 @@ void MyProxyServer::stop() {
 }
 
 void MyProxyServer::reload_limits(const AdmissionLimits& limits) {
-  const AdmissionLimits effective =
-      effective_admission_limits(limits, config_);
-  admission_.set_limits(effective);
+  admission_.set_limits(limits);
   log::info(kLogComponent,
             "admission limits reloaded: rate={}/s burst={} "
-            "max_queued_per_identity={} queue_capacity={} preauth_rate={}/s",
-            effective.rate_limit_rps, effective.rate_limit_burst,
-            effective.max_queued_per_identity, effective.queue_capacity,
-            effective.preauth_rate_limit_rps);
+            "max_queued_per_identity={} preauth_rate={}/s",
+            limits.rate_limit_rps, limits.rate_limit_burst,
+            limits.max_queued_per_identity, limits.preauth_rate_limit_rps);
 }
 
 void MyProxyServer::sweep_tick() {
@@ -514,9 +476,105 @@ void MyProxyServer::serve_http(net::Channel& channel,
   channel.send(response.serialize());
 }
 
+// --- The command table --------------------------------------------------------
+//
+// Control-plane commands are exempt from cluster ownership and admission.
+// STATS and CLUSTER_MAP carry no username to route by, and an operator must
+// always reach a saturated server; REPLICA_SYNC is a node-local stream that
+// would otherwise hold an admission slot for the life of the replica; the
+// migration commands manage ownership itself, and shedding them under load
+// would wedge exactly the rebalancing meant to relieve the load. A stream
+// lasts as long as its peer stays connected, which is not an op latency.
+// Whether a command writes the store is protocol::writes_store.
+
+const MyProxyServer::CommandPolicy& MyProxyServer::policy_of(
+    Command command) {
+  using C = Command;
+  using G = Gate;
+  using S = MyProxyServer;
+  static constexpr std::array<CommandPolicy, ServerStats::kOpCount> kTable = {{
+      // command, control plane, stream, gate, record, owner, handler
+      {C::kGet, false, false, G::kRetrievers, true, false, &S::handle_get},
+      {C::kPut, false, false, G::kStorers, false, false, &S::handle_put},
+      {C::kInfo, false, false, G::kRetrieversOrStorers, true, false,
+       &S::handle_info},
+      // §3.3: the user stays in control of their credentials.
+      {C::kDestroy, false, false, G::kNone, true, true, &S::handle_destroy},
+      {C::kChangePassphrase, false, false, G::kNone, true, true,
+       &S::handle_change_passphrase},
+      {C::kStore, false, false, G::kStorers, false, false, &S::handle_store},
+      // Exporting key material to a third party would defeat §3.3's
+      // "remove, as much as possible, any credentials from the portal".
+      {C::kRetrieve, false, false, G::kRetrievers, true, true,
+       &S::handle_retrieve},
+      {C::kList, false, false, G::kRetrieversOrStorers, false, false,
+       &S::handle_list},
+      // Renewal replaces the pass phrase with possession of the credential
+      // being renewed: its about-to-expire proxy still authenticates.
+      {C::kRenew, false, false, G::kRenewers, true, true, &S::handle_renew},
+      {C::kReplicaSync, true, true, G::kReplicas, false, false,
+       &S::handle_replica_sync},
+      {C::kStats, true, false, G::kRetrieversOrStorers, false, false,
+       &S::handle_stats},
+      {C::kClusterMap, true, false, G::kRetrieversOrStorers, false, false,
+       &S::handle_cluster_map},
+      {C::kMigrate, true, false, G::kClusterAdmins, false, false,
+       &S::handle_migrate},
+      {C::kMigrateInstall, true, true, G::kClusterAdmins, false, false,
+       &S::handle_migrate_install},
+  }};
+  static_assert([] {
+    for (std::size_t i = 0; i < kTable.size(); ++i) {
+      if (static_cast<std::size_t>(kTable[i].command) != i) return false;
+    }
+    return true;
+  }(), "command table rows must follow Command order");
+  return kTable[static_cast<std::size_t>(command)];
+}
+
+std::string_view MyProxyServer::gate_refusal(
+    Gate gate, const pki::DistinguishedName& dn,
+    const repository::CredentialRecord* record) const {
+  const auto& retrievers = config_.authorized_retrievers;
+  const auto& storers = config_.accepted_credentials;
+  if (record != nullptr) {
+    // Record gates: the per-credential patterns the user attached at store
+    // time (§4.1), which narrow the server-wide retriever ACL and widen the
+    // renewer ACL.
+    if (gate == Gate::kRetrievers && !record->retriever_patterns.empty() &&
+        !gsi::AccessControlList(record->retriever_patterns).allows(dn)) {
+      return "the credential's retrievers";
+    }
+    if (gate == Gate::kRenewers && !config_.authorized_renewers.allows(dn) &&
+        !gsi::AccessControlList(record->renewer_patterns).allows(dn)) {
+      return "authorized_renewers or the credential's renewers";
+    }
+    return {};
+  }
+  switch (gate) {
+    case Gate::kNone:
+    case Gate::kRenewers:
+      return {};
+    case Gate::kStorers:
+      return storers.allows(dn) ? "" : "accepted_credentials";
+    case Gate::kRetrievers:
+      return retrievers.allows(dn) ? "" : "authorized_retrievers";
+    case Gate::kRetrieversOrStorers:
+      return retrievers.allows(dn) || storers.allows(dn)
+                 ? ""
+                 : "authorized_retrievers or accepted_credentials";
+    case Gate::kReplicas:
+      return config_.replica_acl.allows(dn) ? "" : "replica_acl";
+    case Gate::kClusterAdmins:
+      return config_.cluster_admin_acl.allows(dn) ? "" : "cluster_admin_acl";
+  }
+  return {};
+}
+
 std::optional<ErrorCode> MyProxyServer::dispatch(
     net::Channel& channel, const pki::VerifiedIdentity& peer,
     const Request& request) {
+  const CommandPolicy& policy = policy_of(request.command);
   log::info(kLogComponent, "{} user='{}' from '{}' (proxy depth {})",
             to_string(request.command), request.username,
             peer.identity.str(), peer.proxy_depth);
@@ -529,9 +587,10 @@ std::optional<ErrorCode> MyProxyServer::dispatch(
   // and the map epoch — a routing-aware client refreshes its map and
   // retries there. Checked before the replica redirect: a replica answers
   // for its own node's shards only.
-  const bool control_plane = is_control_plane(request.command);
   std::optional<Response> wrong_shard;
-  if (!control_plane) wrong_shard = cluster_refusal_for(request.username);
+  if (!policy.control_plane) {
+    wrong_shard = cluster_refusal_for(request.username);
+  }
   if (wrong_shard.has_value()) {
     stats_.cluster_wrong_shard.fetch_add(1, std::memory_order_relaxed);
     audit_event.outcome = AuditOutcome::kError;
@@ -547,8 +606,8 @@ std::optional<ErrorCode> MyProxyServer::dispatch(
   // cutover is turned away before any crypto is spent on it. The
   // authoritative check is the cluster_write_permit each mutating handler
   // holds — this one only saves work.
-  if (is_write_command(request) &&
-      fenced_shard_.load(std::memory_order_acquire) >= 0) {
+  const bool write = protocol::writes_store(request);
+  if (write && fenced_shard_.load(std::memory_order_acquire) >= 0) {
     bool fenced = false;
     {
       const std::lock_guard lock(cluster_mutex_);
@@ -571,7 +630,7 @@ std::optional<ErrorCode> MyProxyServer::dispatch(
   // carrying the primary's endpoint, so a failover-aware client retries
   // there instead of treating this as a hard failure.
   if (config_.replication_role == replication::ReplicationRole::kReplica &&
-      is_write_command(request)) {
+      write) {
     stats_.repl_redirects.fetch_add(1, std::memory_order_relaxed);
     Response redirect = Response::make_error(
         "replica is read-only; retry this operation at the primary");
@@ -584,10 +643,10 @@ std::optional<ErrorCode> MyProxyServer::dispatch(
     return std::nullopt;
   }
 
-  // Per-identity admission: token bucket + fair queue keyed on the
+  // Per-identity admission: token bucket and in-flight cap keyed on the
   // authenticated DN.
   std::optional<AdmissionGuard> admission_guard;
-  if (!control_plane) {
+  if (!policy.control_plane) {
     const AdmissionDecision decision = admission_.admit(peer.identity.str());
     if (!decision.admitted) {
       log::warn(kLogComponent, "admission shed ({}) for '{}': retry in {} ms",
@@ -604,11 +663,8 @@ std::optional<ErrorCode> MyProxyServer::dispatch(
 
   // Latency histogram charge covers dispatch through reply — success and
   // error paths alike — but never shed requests (they return above), so
-  // each op's bucket counts sum to the ops actually served. A stream
-  // (REPLICA_SYNC, MIGRATE_INSTALL) lasts as long as its peer stays
-  // connected; that lifetime is not an op latency, so it is not charged.
-  const bool stream = request.command == Command::kReplicaSync ||
-                      request.command == Command::kMigrateInstall;
+  // each op's bucket counts sum to the ops actually served. Streams are not
+  // charged.
   struct LatencyCharge {
     LatencyHistogram* histogram;
     std::chrono::steady_clock::time_point start =
@@ -620,55 +676,35 @@ std::optional<ErrorCode> MyProxyServer::dispatch(
               std::chrono::steady_clock::now() - start)
               .count()));
     }
-  } latency_charge{
-      stream ? nullptr
-             : &stats_.op_latency[static_cast<std::size_t>(request.command)]};
+  } latency_charge{policy.stream ? nullptr
+                                 : &stats_.op_latency[static_cast<std::size_t>(
+                                       request.command)]};
 
   try {
-    switch (request.command) {
-      case Command::kPut:
-        handle_put(channel, request, peer);
-        break;
-      case Command::kGet:
-        handle_get(channel, request, peer);
-        break;
-      case Command::kRenew:
-        handle_renew(channel, request, peer);
-        break;
-      case Command::kInfo:
-        handle_info(channel, request, peer);
-        break;
-      case Command::kList:
-        handle_list(channel, request, peer);
-        break;
-      case Command::kDestroy:
-        handle_destroy(channel, request, peer);
-        break;
-      case Command::kChangePassphrase:
-        handle_change_passphrase(channel, request, peer);
-        break;
-      case Command::kStore:
-        handle_store(channel, request, peer);
-        break;
-      case Command::kRetrieve:
-        handle_retrieve(channel, request, peer);
-        break;
-      case Command::kReplicaSync:
-        handle_replica_sync(channel, request, peer);
-        break;
-      case Command::kStats:
-        handle_stats(channel, request, peer);
-        break;
-      case Command::kClusterMap:
-        handle_cluster_map(channel, request, peer);
-        break;
-      case Command::kMigrate:
-        handle_migrate(channel, request, peer);
-        break;
-      case Command::kMigrateInstall:
-        handle_migrate_install(channel, request, peer);
-        break;
+    // The command's policy, in one fixed order: identity gate, record
+    // lookup, record gates, owner. The identity gate runs before the store
+    // is read, so a caller it refuses cannot tell a missing username from a
+    // present one.
+    const pki::DistinguishedName& dn = peer.identity;
+    Record record;
+    std::string_view refused = gate_refusal(policy.gate, dn, nullptr);
+    if (refused.empty() && policy.record) {
+      record = repository_->record(request.username, request.credential_name);
+      if (!record.has_value()) {
+        throw NotFoundError(fmt::format("no credentials stored for '{}'",
+                                        request.username));
+      }
+      refused = gate_refusal(policy.gate, dn, &*record);
     }
+    if (!refused.empty()) {
+      throw AuthorizationError(
+          fmt::format("'{}' is not in {}", dn.str(), refused));
+    }
+    if (policy.owner && dn.str() != record->owner_dn) {
+      throw AuthorizationError(
+          fmt::format("'{}' does not own the stored credential", dn.str()));
+    }
+    (this->*policy.handler)(channel, request, peer, record);
     audit_.record(std::move(audit_event));
   } catch (const MigrationFenced&) {
     // The write lost the race with a cutover fence after passing the
@@ -728,25 +764,11 @@ crypto::KeyPair MyProxyServer::next_delegation_key() {
   return key;
 }
 
-bool MyProxyServer::retriever_allowed(
-    const repository::CredentialRecord& record,
-    const pki::VerifiedIdentity& peer) const {
-  // Server-wide ACL first (§5.1), then the per-credential narrowing the
-  // user attached at store time (§4.1 retrieval restrictions).
-  if (!config_.authorized_retrievers.allows(peer.identity)) return false;
-  if (record.retriever_patterns.empty()) return true;
-  const gsi::AccessControlList per_credential(record.retriever_patterns);
-  return per_credential.allows(peer.identity);
-}
-
 // --- PUT (Figure 1) ---------------------------------------------------------
 
 void MyProxyServer::handle_put(net::Channel& channel, const Request& request,
-                               const pki::VerifiedIdentity& peer) {
-  if (!config_.accepted_credentials.allows(peer.identity)) {
-    throw AuthorizationError(fmt::format(
-        "'{}' is not in accepted_credentials", peer.identity.str()));
-  }
+                               const pki::VerifiedIdentity& peer,
+                               const Record&) {
   if (request.username.empty()) {
     throw PolicyError("username must not be empty");
   }
@@ -799,17 +821,8 @@ void MyProxyServer::handle_put(net::Channel& channel, const Request& request,
 // --- GET (Figure 2) ---------------------------------------------------------
 
 void MyProxyServer::handle_get(net::Channel& channel, const Request& request,
-                               const pki::VerifiedIdentity& peer) {
-  const auto record =
-      repository_->record(request.username, request.credential_name);
-  if (!record.has_value()) {
-    throw NotFoundError(fmt::format("no credentials stored for '{}'",
-                                    request.username));
-  }
-  if (!retriever_allowed(*record, peer)) {
-    throw AuthorizationError(fmt::format(
-        "'{}' is not an authorized retriever", peer.identity.str()));
-  }
+                               const pki::VerifiedIdentity&,
+                               const Record& record) {
   // Authenticate the *user* (pass phrase or OTP) on top of the already-
   // authenticated *client* (§5.1: both are required). Verifying an OTP
   // word advances the chain — a store write, so it takes the fence permit.
@@ -832,29 +845,8 @@ void MyProxyServer::handle_get(net::Channel& channel, const Request& request,
 
 void MyProxyServer::handle_renew(net::Channel& channel,
                                  const Request& request,
-                                 const pki::VerifiedIdentity& peer) {
-  const auto record =
-      repository_->record(request.username, request.credential_name);
-  if (!record.has_value()) {
-    throw NotFoundError(fmt::format("no credentials stored for '{}'",
-                                    request.username));
-  }
-  // Renewal replaces the pass phrase with possession of the credential
-  // being renewed: the caller must *be* the stored identity (its about-to-
-  // expire proxy still authenticates the connection)...
-  if (!(peer.identity.str() == record->owner_dn)) {
-    throw AuthorizationError(fmt::format(
-        "renewal identity '{}' does not own the stored credential",
-        peer.identity.str()));
-  }
-  // ...and must additionally pass either the server-wide renewer ACL or
-  // the per-credential renewer patterns the user attached at store time.
-  const gsi::AccessControlList per_credential(record->renewer_patterns);
-  if (!config_.authorized_renewers.allows(peer.identity) &&
-      !per_credential.allows(peer.identity)) {
-    throw AuthorizationError(fmt::format(
-        "'{}' is not an authorized renewer", peer.identity.str()));
-  }
+                                 const pki::VerifiedIdentity& peer,
+                                 const Record& record) {
   // The renewer presents the credential it renews, so the stored chain is
   // usually part of the one the handshake just verified.
   gsi::Credential stored = repository_->open_for_renewal(*record, peer.chain);
@@ -891,43 +883,30 @@ void MyProxyServer::delegate_to_peer(
 
 // --- Metadata commands -------------------------------------------------------
 
-void MyProxyServer::handle_info(net::Channel& channel,
-                                const Request& request,
-                                const pki::VerifiedIdentity& peer) {
-  if (!config_.authorized_retrievers.allows(peer.identity) &&
-      !config_.accepted_credentials.allows(peer.identity)) {
-    throw AuthorizationError("not authorized for INFO");
-  }
-  const auto info =
-      repository_->info(request.username, request.credential_name);
-  if (!info.has_value()) {
-    throw NotFoundError(fmt::format("no credentials stored for '{}'",
-                                    request.username));
-  }
+void MyProxyServer::handle_info(net::Channel& channel, const Request&,
+                                const pki::VerifiedIdentity&,
+                                const Record& record) {
   Response response;
-  response.fields["OWNER"] = info->owner_dn;
-  response.fields["NOT_AFTER"] = std::to_string(to_unix(info->not_after));
-  response.fields["CREATED_AT"] = std::to_string(to_unix(info->created_at));
+  response.fields["OWNER"] = record->owner_dn;
+  response.fields["NOT_AFTER"] = std::to_string(to_unix(record->not_after));
+  response.fields["CREATED_AT"] =
+      std::to_string(to_unix(record->created_at));
   response.fields["MAX_LIFETIME"] =
-      std::to_string(info->max_delegation_lifetime.count());
-  response.fields["SEALING"] = std::string(to_string(info->sealing));
-  if (info->otp_enabled) {
-    response.fields["OTP_REMAINING"] = std::to_string(info->otp_remaining);
+      std::to_string(record->max_delegation_lifetime.count());
+  response.fields["SEALING"] = std::string(to_string(record->sealing));
+  if (record->otp.has_value()) {
+    response.fields["OTP_REMAINING"] = std::to_string(record->otp->remaining);
   }
-  if (info->always_limited) response.fields["LIMITED"] = "1";
-  if (info->restriction.has_value()) {
-    response.fields["RESTRICTION"] = *info->restriction;
+  if (record->always_limited) response.fields["LIMITED"] = "1";
+  if (record->restriction.has_value()) {
+    response.fields["RESTRICTION"] = *record->restriction;
   }
   channel.send(response.serialize());
 }
 
 void MyProxyServer::handle_list(net::Channel& channel,
                                 const Request& request,
-                                const pki::VerifiedIdentity& peer) {
-  if (!config_.authorized_retrievers.allows(peer.identity) &&
-      !config_.accepted_credentials.allows(peer.identity)) {
-    throw AuthorizationError("not authorized for LIST");
-  }
+                                const pki::VerifiedIdentity&, const Record&) {
   Response response;
   if (!request.task.empty()) {
     // Wallet selection (§6.2): answer with the single best credential.
@@ -954,37 +933,17 @@ void MyProxyServer::handle_list(net::Channel& channel,
 
 void MyProxyServer::handle_destroy(net::Channel& channel,
                                    const Request& request,
-                                   const pki::VerifiedIdentity& peer) {
-  const auto record =
-      repository_->record(request.username, request.credential_name);
-  if (!record.has_value()) {
-    throw NotFoundError(fmt::format("no credentials stored for '{}'",
-                                    request.username));
-  }
-  // Only the identity that stored a credential may destroy it (§3.3: the
-  // user stays in control of their credentials).
-  if (!(peer.identity.str() == record->owner_dn)) {
-    throw AuthorizationError(fmt::format(
-        "'{}' does not own the stored credential", peer.identity.str()));
-  }
+                                   const pki::VerifiedIdentity&,
+                                   const Record&) {
   const auto permit = cluster_write_permit(request.username);
   repository_->destroy(request.username, request.credential_name);
   channel.send(Response::make_ok().serialize());
 }
 
-void MyProxyServer::handle_change_passphrase(
-    net::Channel& channel, const Request& request,
-    const pki::VerifiedIdentity& peer) {
-  const auto record =
-      repository_->record(request.username, request.credential_name);
-  if (!record.has_value()) {
-    throw NotFoundError(fmt::format("no credentials stored for '{}'",
-                                    request.username));
-  }
-  if (!(peer.identity.str() == record->owner_dn)) {
-    throw AuthorizationError(fmt::format(
-        "'{}' does not own the stored credential", peer.identity.str()));
-  }
+void MyProxyServer::handle_change_passphrase(net::Channel& channel,
+                                             const Request& request,
+                                             const pki::VerifiedIdentity&,
+                                             const Record&) {
   const auto permit = cluster_write_permit(request.username);
   repository_->change_passphrase(request.username, request.passphrase,
                                  request.new_passphrase,
@@ -996,11 +955,8 @@ void MyProxyServer::handle_change_passphrase(
 
 void MyProxyServer::handle_store(net::Channel& channel,
                                  const Request& request,
-                                 const pki::VerifiedIdentity& peer) {
-  if (!config_.accepted_credentials.allows(peer.identity)) {
-    throw AuthorizationError(fmt::format(
-        "'{}' is not in accepted_credentials", peer.identity.str()));
-  }
+                                 const pki::VerifiedIdentity& peer,
+                                 const Record&) {
   channel.send(Response::make_ok().serialize());
   // STORE ships the whole credential (certificate + key), unlike PUT which
   // delegates a proxy. The transport is encrypted; at rest the credential
@@ -1032,23 +988,8 @@ void MyProxyServer::handle_store(net::Channel& channel,
 
 void MyProxyServer::handle_retrieve(net::Channel& channel,
                                     const Request& request,
-                                    const pki::VerifiedIdentity& peer) {
-  const auto record =
-      repository_->record(request.username, request.credential_name);
-  if (!record.has_value()) {
-    throw NotFoundError(fmt::format("no credentials stored for '{}'",
-                                    request.username));
-  }
-  if (!retriever_allowed(*record, peer)) {
-    throw AuthorizationError(fmt::format(
-        "'{}' is not an authorized retriever", peer.identity.str()));
-  }
-  // RETRIEVE additionally requires the caller to *be* the credential owner:
-  // exporting key material to a third party would defeat §3.3's "remove,
-  // as much as possible, any credentials from the portal".
-  if (!(peer.identity.str() == record->owner_dn)) {
-    throw AuthorizationError("only the owner may retrieve key material");
-  }
+                                    const pki::VerifiedIdentity&,
+                                    const Record& record) {
   std::shared_lock<std::shared_mutex> permit;
   if (request.auth_mode == protocol::AuthMode::kOtp) {
     permit = cluster_write_permit(request.username);
@@ -1066,49 +1007,13 @@ void MyProxyServer::handle_retrieve(net::Channel& channel,
 
 // --- Replication (REPLICA_SYNC / STATS) --------------------------------------
 
-bool MyProxyServer::is_write_command(const Request& request) {
-  switch (request.command) {
-    case Command::kPut:
-    case Command::kStore:
-    case Command::kDestroy:
-    case Command::kChangePassphrase:
-      return true;
-    case Command::kRenew:
-      // Renewal reads a master-key-sealed record, and only the primary's
-      // master key can open it.
-      return true;
-    case Command::kGet:
-    case Command::kRetrieve:
-      // Verifying an OTP word advances the chain — a store write.
-      return request.auth_mode == protocol::AuthMode::kOtp;
-    case Command::kInfo:
-    case Command::kList:
-    case Command::kReplicaSync:
-    case Command::kStats:
-    case Command::kClusterMap:
-      return false;
-    case Command::kMigrate:
-    case Command::kMigrateInstall:
-      // Mutations, but server-to-server control plane — they carry their
-      // own ACL and must never be bounced off a node by the replica
-      // redirect (a migration target applies writes directly).
-      return false;
-  }
-  return false;
-}
-
 void MyProxyServer::handle_replica_sync(net::Channel& channel,
                                         const Request& request,
-                                        const pki::VerifiedIdentity& peer) {
+                                        const pki::VerifiedIdentity& peer,
+                                        const Record&) {
   if (config_.replication_role != replication::ReplicationRole::kPrimary ||
       config_.journal == nullptr) {
     throw PolicyError("this server is not a replication primary");
-  }
-  // A replica sees every record in the store, so REPLICA_SYNC has its own
-  // ACL rather than riding the retriever/renewer grants.
-  if (!config_.replica_acl.allows(peer.identity)) {
-    throw AuthorizationError(
-        fmt::format("'{}' is not in replica_acl", peer.identity.str()));
   }
   const auto& journal = *config_.journal;
 
@@ -1253,12 +1158,8 @@ std::shared_lock<std::shared_mutex> MyProxyServer::cluster_write_permit(
 }
 
 void MyProxyServer::handle_cluster_map(net::Channel& channel, const Request&,
-                                       const pki::VerifiedIdentity& peer) {
-  // Same audience as STATS: any identity the server would talk to at all.
-  if (!config_.authorized_retrievers.allows(peer.identity) &&
-      !config_.accepted_credentials.allows(peer.identity)) {
-    throw AuthorizationError("not authorized for CLUSTER_MAP");
-  }
+                                       const pki::VerifiedIdentity&,
+                                       const Record&) {
   std::string text;
   Response response;
   {
@@ -1278,11 +1179,8 @@ void MyProxyServer::handle_cluster_map(net::Channel& channel, const Request&,
 
 void MyProxyServer::handle_migrate(net::Channel& channel,
                                    const Request& request,
-                                   const pki::VerifiedIdentity& peer) {
-  if (!config_.cluster_admin_acl.allows(peer.identity)) {
-    throw AuthorizationError(fmt::format(
-        "'{}' is not in cluster_admin_acl", peer.identity.str()));
-  }
+                                   const pki::VerifiedIdentity& peer,
+                                   const Record&) {
   if (config_.replication_role == replication::ReplicationRole::kReplica) {
     throw PolicyError("shard migration must run on the shard's primary");
   }
@@ -1439,11 +1337,8 @@ void MyProxyServer::handle_migrate(net::Channel& channel,
 
 void MyProxyServer::handle_migrate_install(net::Channel& channel,
                                            const Request& request,
-                                           const pki::VerifiedIdentity& peer) {
-  if (!config_.cluster_admin_acl.allows(peer.identity)) {
-    throw AuthorizationError(fmt::format(
-        "'{}' is not in cluster_admin_acl", peer.identity.str()));
-  }
+                                           const pki::VerifiedIdentity& peer,
+                                           const Record&) {
   if (config_.replication_role == replication::ReplicationRole::kReplica) {
     throw PolicyError("a replica cannot receive a shard");
   }
@@ -1621,11 +1516,7 @@ std::string MyProxyServer::render_metrics() const {
 }
 
 void MyProxyServer::handle_stats(net::Channel& channel, const Request&,
-                                 const pki::VerifiedIdentity& peer) {
-  if (!config_.authorized_retrievers.allows(peer.identity) &&
-      !config_.accepted_credentials.allows(peer.identity)) {
-    throw AuthorizationError("not authorized for STATS");
-  }
+                                 const pki::VerifiedIdentity&, const Record&) {
   Response response;
   for (const auto& [key, value] : counter_snapshot()) {
     response.fields[key] = std::to_string(value);

@@ -103,9 +103,6 @@ struct ServerConfig {
   /// means unlimited.
   std::size_t max_connections = 256;
 
-  /// Bound on the worker-pool queue; overflow is shed like max_connections.
-  std::size_t max_pending_connections = 256;
-
   /// Key type for the server-side delegation key freshly generated on every
   /// PUT (the receiver half of Figure 1). Also the spec the key pool keeps
   /// pre-generated.
@@ -176,9 +173,8 @@ struct ServerConfig {
 
   // --- Admission control & metrics -------------------------------------------
 
-  /// Per-identity admission limits (token buckets + fair queue). A zero
-  /// queue_capacity is derived as worker_threads + max_pending_connections
-  /// at start(). Hot-reloadable via SIGHUP when config_file is set.
+  /// Per-identity admission limits (token buckets and an in-flight cap).
+  /// Hot-reloadable via SIGHUP when config_file is set.
   AdmissionLimits admission;
 
   /// Plaintext-HTTP /metrics endpoint (Prometheus text format).
@@ -366,9 +362,10 @@ class MyProxyServer {
                   std::string_view raw_request);
 
   /// The command core every binding shares: cluster ownership, migration
-  /// fence, replica read-only, admission, the latency histogram, audit and
-  /// the handler. Replies go to `channel`; returns the ErrorCode a handler
-  /// failed with (its error frame already sent), or nullopt.
+  /// fence, replica read-only, admission, the latency histogram, the
+  /// command's policy (policy_of), its handler and audit. Replies go to
+  /// `channel`; returns the ErrorCode a handler or policy check failed
+  /// with (its error frame already sent), or nullopt.
   std::optional<ErrorCode> dispatch(net::Channel& channel,
                                     const pki::VerifiedIdentity& peer,
                                     const protocol::Request& request);
@@ -389,41 +386,77 @@ class MyProxyServer {
   void shed_connection(net::Socket socket, std::string_view reason,
                        const protocol::Response& reply);
 
-  void handle_put(net::Channel& channel, const protocol::Request& request,
-                  const pki::VerifiedIdentity& peer);
-  void handle_get(net::Channel& channel, const protocol::Request& request,
-                  const pki::VerifiedIdentity& peer);
-  void handle_renew(net::Channel& channel, const protocol::Request& request,
-                    const pki::VerifiedIdentity& peer);
-  void handle_info(net::Channel& channel, const protocol::Request& request,
-                   const pki::VerifiedIdentity& peer);
-  void handle_list(net::Channel& channel, const protocol::Request& request,
-                   const pki::VerifiedIdentity& peer);
-  void handle_destroy(net::Channel& channel,
-                      const protocol::Request& request,
-                      const pki::VerifiedIdentity& peer);
-  void handle_change_passphrase(net::Channel& channel,
-                                const protocol::Request& request,
-                                const pki::VerifiedIdentity& peer);
-  void handle_store(net::Channel& channel, const protocol::Request& request,
-                    const pki::VerifiedIdentity& peer);
-  void handle_retrieve(net::Channel& channel,
-                       const protocol::Request& request,
-                       const pki::VerifiedIdentity& peer);
-  void handle_replica_sync(net::Channel& channel,
-                           const protocol::Request& request,
-                           const pki::VerifiedIdentity& peer);
-  void handle_stats(net::Channel& channel, const protocol::Request& request,
-                    const pki::VerifiedIdentity& peer);
-  void handle_cluster_map(net::Channel& channel,
-                          const protocol::Request& request,
-                          const pki::VerifiedIdentity& peer);
-  void handle_migrate(net::Channel& channel,
-                      const protocol::Request& request,
-                      const pki::VerifiedIdentity& peer);
-  void handle_migrate_install(net::Channel& channel,
-                              const protocol::Request& request,
-                              const pki::VerifiedIdentity& peer);
+  /// The server-wide ACL a command's caller must be in, checked before
+  /// the store is read. kRetrievers also checks the record's own retriever
+  /// patterns once it is loaded; kRenewers is decided only then, from
+  /// authorized_renewers or the record's renewer patterns.
+  enum class Gate {
+    kNone,
+    kStorers,              ///< accepted_credentials
+    kRetrievers,           ///< authorized_retrievers
+    kRetrieversOrStorers,  ///< either (metadata and admin reads)
+    kRenewers,             ///< see above
+    kReplicas,             ///< replica_acl: a replica sees every record
+    kClusterAdmins,        ///< cluster_admin_acl
+  };
+
+  using Record = std::optional<repository::CredentialRecord>;
+  /// A command's own work, run after dispatch has applied its policy.
+  /// `record` is loaded (and present) when the policy asks for it.
+  using Handler = void (MyProxyServer::*)(net::Channel&,
+                                          const protocol::Request&,
+                                          const pki::VerifiedIdentity&,
+                                          const Record&);
+
+  /// Everything dispatch decides about a command before its handler runs.
+  /// Whether it writes the store is protocol::writes_store.
+  struct CommandPolicy {
+    protocol::Command command;
+    bool control_plane;  ///< exempt from cluster ownership and admission
+    bool stream;         ///< not charged to the latency histogram
+    Gate gate;
+    bool record;  ///< load the record; NotFoundError when absent
+    bool owner;   ///< the caller must be the record's owner
+    Handler handler;
+  };
+
+  [[nodiscard]] static const CommandPolicy& policy_of(
+      protocol::Command command);
+
+  /// The ACL that `gate` refuses `dn` by, or empty when it admits. Without
+  /// a record this is the identity gate; with one, the record gate.
+  [[nodiscard]] std::string_view gate_refusal(
+      Gate gate, const pki::DistinguishedName& dn,
+      const repository::CredentialRecord* record) const;
+
+  void handle_put(net::Channel&, const protocol::Request&,
+                  const pki::VerifiedIdentity&, const Record&);
+  void handle_get(net::Channel&, const protocol::Request&,
+                  const pki::VerifiedIdentity&, const Record&);
+  void handle_renew(net::Channel&, const protocol::Request&,
+                    const pki::VerifiedIdentity&, const Record&);
+  void handle_info(net::Channel&, const protocol::Request&,
+                   const pki::VerifiedIdentity&, const Record&);
+  void handle_list(net::Channel&, const protocol::Request&,
+                   const pki::VerifiedIdentity&, const Record&);
+  void handle_destroy(net::Channel&, const protocol::Request&,
+                      const pki::VerifiedIdentity&, const Record&);
+  void handle_change_passphrase(net::Channel&, const protocol::Request&,
+                                const pki::VerifiedIdentity&, const Record&);
+  void handle_store(net::Channel&, const protocol::Request&,
+                    const pki::VerifiedIdentity&, const Record&);
+  void handle_retrieve(net::Channel&, const protocol::Request&,
+                       const pki::VerifiedIdentity&, const Record&);
+  void handle_replica_sync(net::Channel&, const protocol::Request&,
+                           const pki::VerifiedIdentity&, const Record&);
+  void handle_stats(net::Channel&, const protocol::Request&,
+                    const pki::VerifiedIdentity&, const Record&);
+  void handle_cluster_map(net::Channel&, const protocol::Request&,
+                          const pki::VerifiedIdentity&, const Record&);
+  void handle_migrate(net::Channel&, const protocol::Request&,
+                      const pki::VerifiedIdentity&, const Record&);
+  void handle_migrate_install(net::Channel&, const protocol::Request&,
+                              const pki::VerifiedIdentity&, const Record&);
 
   /// Cluster ownership check: the WRONG_SHARD refusal (SHARD/EPOCH/PRIMARY)
   /// for `username`, or nullopt when this node owns (or clustering is off).
@@ -440,21 +473,12 @@ class MyProxyServer {
   [[nodiscard]] std::shared_lock<std::shared_mutex> cluster_write_permit(
       const std::string& username);
 
-  /// True when `request` mutates the repository (a replica must redirect
-  /// it to the primary). OTP-authenticated reads count: verifying an OTP
-  /// word advances the chain, which is a store write.
-  [[nodiscard]] static bool is_write_command(const protocol::Request& request);
-
   /// Shared GET/RENEW tail: delegate `credential` to the peer over the
   /// channel under the stored record's restrictions.
   void delegate_to_peer(net::Channel& channel,
                         const gsi::Credential& credential,
                         const repository::CredentialRecord& record,
                         Seconds requested_lifetime, bool want_limited);
-
-  [[nodiscard]] bool retriever_allowed(
-      const repository::CredentialRecord& record,
-      const pki::VerifiedIdentity& peer) const;
 
   gsi::Credential host_credential_;
   pki::TrustStore trust_store_;

@@ -195,6 +195,21 @@ TEST_F(HttpBindingTest, UnauthorizedRetrieverIs403) {
   EXPECT_EQ(response.status, 403);
 }
 
+TEST_F(HttpBindingTest, OutsiderGets403ForPresentAndMissingUsers) {
+  // The retriever ACL refuses before the store is read, so the status does
+  // not reveal whether the username exists.
+  const auto outsider = make_service("http-prober");
+  for (const std::string username : {"alice", "ghost"}) {
+    const auto response =
+        post(outsider, server_->port(), "/get",
+             {{"username", username},
+              {"passphrase", std::string(kPhrase)},
+              {"csr", gsi::begin_delegation().csr_pem}});
+    EXPECT_EQ(response.status, 403) << username;
+  }
+  EXPECT_EQ(server_->stats().authz_failures.load(), 2u);
+}
+
 TEST_F(HttpBindingTest, MissingFieldsIs422) {
   const auto response = post(*portal_, server_->port(), "/get",
                              {{"username", "alice"}});

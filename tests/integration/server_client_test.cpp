@@ -152,6 +152,47 @@ TEST_F(MyProxyIntegrationTest, UnauthorizedRetrieverRefused) {
   EXPECT_GE(server_->stats().authz_failures.load(), 1u);
 }
 
+/// The refusal text `op` fails with.
+template <typename Op>
+std::string refusal_of(Op&& op) {
+  try {
+    op();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "no refusal";
+}
+
+TEST_F(MyProxyIntegrationTest, OutsiderCannotProbeUsernamesWithGet) {
+  // The retriever ACL is checked before the store is read: a client outside
+  // it cannot tell a stored username from a missing one.
+  const auto alice = make_user("int-probe-alice");
+  put_credential(alice, "alice");
+  auto outsider =
+      client_for(make_service("/C=US/O=Grid/OU=Services/CN=prober"));
+  const std::string present =
+      refusal_of([&] { (void)outsider.get("alice", kPhrase); });
+  const std::string missing =
+      refusal_of([&] { (void)outsider.get("ghost", kPhrase); });
+  EXPECT_EQ(present, missing);
+  EXPECT_NE(present.find("not authorized"), std::string::npos) << present;
+  EXPECT_EQ(server_->stats().authz_failures.load(), 2u);
+}
+
+TEST_F(MyProxyIntegrationTest, OutsiderCannotProbeUsernamesWithRetrieve) {
+  const auto alice = make_user("int-probe-ret-alice");
+  put_credential(alice, "alice");
+  auto outsider =
+      client_for(make_service("/C=US/O=Grid/OU=Services/CN=prober"));
+  const std::string present =
+      refusal_of([&] { (void)outsider.retrieve("alice", kPhrase); });
+  const std::string missing =
+      refusal_of([&] { (void)outsider.retrieve("ghost", kPhrase); });
+  EXPECT_EQ(present, missing);
+  EXPECT_NE(present.find("not authorized"), std::string::npos) << present;
+  EXPECT_EQ(server_->stats().authz_failures.load(), 2u);
+}
+
 TEST_F(MyProxyIntegrationTest, PerCredentialRetrieverRestriction) {
   // §4.1: the user narrows retrieval to specific portals at store time.
   const auto alice = make_user("int-restrict-alice");

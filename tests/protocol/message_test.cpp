@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/encoding.hpp"
 #include "common/error.hpp"
+#include "common/mutation.hpp"
 
 namespace myproxy::protocol {
 namespace {
@@ -111,6 +113,85 @@ TEST(Response, ParseRejectsMalformed) {
   EXPECT_THROW(Response::parse("VERSION=MYPROXYv2\nRESPONSE=7\n"),
                ProtocolError);
   EXPECT_THROW(Response::parse("RESPONSE=0\n"), ProtocolError);
+}
+
+// Both parsers read bytes from the network before authentication has
+// decided anything. Each may only refuse with ProtocolError; what it accepts
+// serializes back to text it accepts again, unchanged from then on.
+
+TEST(Request, ParseSurvivesMutations) {
+  Request request;
+  request.command = Command::kPut;
+  request.username = "alice";
+  request.passphrase = "correct horse battery";
+  request.auth_mode = AuthMode::kOtp;
+  request.lifetime = Seconds(43200);
+  request.credential_name = "compute";
+  request.retriever_patterns = {"/O=Grid/CN=portal-*"};
+  request.restriction = "rights=file-read";
+  request.task = "analysis";
+  Request donor;
+  donor.command = Command::kMigrateInstall;
+  donor.shard = 7;
+  donor.sequence = 4242;
+  donor.target = "7513";
+  const auto input = encoding::to_bytes(request.serialize());
+  const auto donor_bytes = encoding::to_bytes(donor.serialize());
+  int accepted = 0;
+  int refused = 0;
+  for (std::uint32_t i = 0; i < 1000; ++i) {
+    const std::string text =
+        encoding::to_string(mutation::mutate(input, donor_bytes, i));
+    Request parsed;
+    try {
+      parsed = Request::parse(text);
+    } catch (const ProtocolError&) {
+      ++refused;
+      continue;
+    }
+    ++accepted;
+    EXPECT_LE(static_cast<int>(parsed.command),
+              static_cast<int>(kLastCommand))
+        << "case " << i;
+    EXPECT_FALSE(to_string(parsed.command).empty()) << "case " << i;
+    const std::string again = parsed.serialize();
+    EXPECT_EQ(Request::parse(again).serialize(), again) << "case " << i;
+  }
+  EXPECT_EQ(accepted + refused, 1000);
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(refused, 0);
+}
+
+TEST(Response, ParseSurvivesMutations) {
+  Response response = Response::make_error("wrong shard: shard 3");
+  response.fields["WRONG_SHARD"] = "1";
+  response.fields["EPOCH"] = "12";
+  response.fields["PRIMARY"] = "7512";
+  response.fields["NAMES"] = "a\x1f(default)";
+  Response donor;
+  donor.fields["BUSY"] = "1";
+  donor.fields["RETRY_AFTER_MS"] = "250";
+  const auto input = encoding::to_bytes(response.serialize());
+  const auto donor_bytes = encoding::to_bytes(donor.serialize());
+  int accepted = 0;
+  int refused = 0;
+  for (std::uint32_t i = 0; i < 1000; ++i) {
+    const std::string text =
+        encoding::to_string(mutation::mutate(input, donor_bytes, i));
+    Response parsed;
+    try {
+      parsed = Response::parse(text);
+    } catch (const ProtocolError&) {
+      ++refused;
+      continue;
+    }
+    ++accepted;
+    const std::string again = parsed.serialize();
+    EXPECT_EQ(Response::parse(again).serialize(), again) << "case " << i;
+  }
+  EXPECT_EQ(accepted + refused, 1000);
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(refused, 0);
 }
 
 TEST(CommandNames, Stable) {

@@ -1,6 +1,6 @@
 // Unit and property tests for the admission layer: token-bucket refill
-// math at boundary timestamps, burst exhaustion/recovery, fair-queue share
-// arithmetic, no token creation under concurrent take(), hot-reload
+// math at boundary timestamps, burst exhaustion/recovery, the per-identity
+// in-flight cap, no token creation under concurrent take(), hot-reload
 // generation semantics, and the ±10% equal-share fairness property.
 #include <gtest/gtest.h>
 
@@ -154,83 +154,26 @@ TEST(TokenBucketConcurrency, NoTokenCreationUnderConcurrentTake) {
 
 // --- FairQueue ---------------------------------------------------------------
 
-TEST(FairQueueTest, SingleIdentityMayFillTheQueue) {
-  FairQueue queue(8, 0);
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_TRUE(queue.try_enter("A")) << "slot " << i;
-  }
-  EXPECT_FALSE(queue.try_enter("A"));  // capacity
-  EXPECT_EQ(queue.active(), 8u);
-}
-
-TEST(FairQueueTest, ContenderShrinksTheFairShare) {
-  FairQueue queue(8, 0);
-  for (int i = 0; i < 8; ++i) ASSERT_TRUE(queue.try_enter("A"));
-  // Full queue refuses B outright.
-  EXPECT_FALSE(queue.try_enter("B"));
-  // A drains half; B (idle, weight 1 against A's 1) is entitled to
-  // capacity/2 = 4 and may take every freed slot.
-  for (int i = 0; i < 4; ++i) queue.leave("A");
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(queue.try_enter("B")) << "B slot " << i;
-  }
-  EXPECT_FALSE(queue.try_enter("B"));  // full again at 4 + 4
-  // With one slot free, A at exactly its share of 4 is refused re-entry
-  // while B below its share is admitted.
-  queue.leave("B");
-  EXPECT_FALSE(queue.try_enter("A"));
-  EXPECT_TRUE(queue.try_enter("B"));
-  EXPECT_EQ(queue.active(), 8u);  // never exceeded capacity
-}
-
-TEST(FairQueueTest, ConvergesToEqualSharesAsSlotsChurn) {
-  FairQueue queue(8, 0);
-  for (int i = 0; i < 8; ++i) ASSERT_TRUE(queue.try_enter("A"));
-  // Churn: A drains one slot at a time; B asks after each drain. B climbs
-  // to its share of 4 and then stops growing while A still contends (once
-  // A drained entirely, B alone would be entitled to the whole queue).
-  std::size_t b_held = 0;
-  for (int round = 0; round < 6; ++round) {
-    queue.leave("A");
-    if (queue.try_enter("B")) ++b_held;
-    if (queue.try_enter("A")) queue.leave("A");  // over share: refused
-  }
-  EXPECT_EQ(b_held, 4u);
-}
-
 TEST(FairQueueTest, HardPerIdentityCapBinds) {
-  FairQueue queue(100, 3);
+  FairQueue queue(3);
   EXPECT_TRUE(queue.try_enter("A"));
   EXPECT_TRUE(queue.try_enter("A"));
   EXPECT_TRUE(queue.try_enter("A"));
-  EXPECT_FALSE(queue.try_enter("A"));  // hard cap, queue nearly empty
+  EXPECT_FALSE(queue.try_enter("A"));  // hard cap; B is unaffected
   EXPECT_TRUE(queue.try_enter("B"));
-}
-
-TEST(FairQueueTest, WeightedIdentityGetsProportionalShare) {
-  FairQueue queue(9, 0);
-  // A at weight 2 vs B at weight 1: shares 6 and 3.
-  for (int i = 0; i < 6; ++i) {
-    EXPECT_TRUE(queue.try_enter("A", 2.0)) << "A slot " << i;
-  }
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_TRUE(queue.try_enter("B", 1.0)) << "B slot " << i;
-  }
-  EXPECT_FALSE(queue.try_enter("A", 2.0));
-  EXPECT_FALSE(queue.try_enter("B", 1.0));
 }
 
 TEST(FairQueueTest, ZeroCapacityMeansUnlimited) {
-  FairQueue queue(0, 0);
+  FairQueue queue(0);
   for (int i = 0; i < 1000; ++i) ASSERT_TRUE(queue.try_enter("A"));
 }
 
 TEST(FairQueueTest, ReconfigureAppliesToNextEntry) {
-  FairQueue queue(2, 0);
+  FairQueue queue(2);
   ASSERT_TRUE(queue.try_enter("A"));
   ASSERT_TRUE(queue.try_enter("A"));
   ASSERT_FALSE(queue.try_enter("A"));
-  queue.configure(4, 0);
+  queue.configure(4);
   EXPECT_TRUE(queue.try_enter("A"));
   EXPECT_TRUE(queue.try_enter("A"));
   EXPECT_FALSE(queue.try_enter("A"));
@@ -245,17 +188,17 @@ TEST(AdmissionControllerTest, RateShedCarriesRetryAfterAndCounters) {
   AdmissionController controller(limits);
   const auto t0 = base_time();
 
-  AdmissionDecision first = controller.admit("dn-a", 1.0, t0);
+  AdmissionDecision first = controller.admit("dn-a", t0);
   EXPECT_TRUE(first.admitted);
   controller.release("dn-a");
 
-  AdmissionDecision second = controller.admit("dn-a", 1.0, t0);
+  AdmissionDecision second = controller.admit("dn-a", t0);
   EXPECT_FALSE(second.admitted);
   EXPECT_STREQ(second.reason, "rate");
   EXPECT_EQ(second.retry_after.count(), 500);
 
   // A different identity has its own bucket.
-  AdmissionDecision other = controller.admit("dn-b", 1.0, t0);
+  AdmissionDecision other = controller.admit("dn-b", t0);
   EXPECT_TRUE(other.admitted);
   controller.release("dn-b");
 
@@ -269,13 +212,13 @@ TEST(AdmissionControllerTest, RateShedCarriesRetryAfterAndCounters) {
 
 TEST(AdmissionControllerTest, QueueShedWhenIdentityHoldsItsShare) {
   AdmissionLimits limits;
-  limits.queue_capacity = 4;
+  limits.max_queued_per_identity = 4;
   AdmissionController controller(limits);
   const auto t0 = base_time();
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(controller.admit("dn-a", 1.0, t0).admitted);
+    ASSERT_TRUE(controller.admit("dn-a", t0).admitted);
   }
-  const AdmissionDecision shed = controller.admit("dn-a", 1.0, t0);
+  const AdmissionDecision shed = controller.admit("dn-a", t0);
   EXPECT_FALSE(shed.admitted);
   EXPECT_STREQ(shed.reason, "queue");
   EXPECT_GT(shed.retry_after.count(), 0);
@@ -291,7 +234,7 @@ TEST(AdmissionControllerTest, HotReloadAppliesToNextDecision) {
   AdmissionController controller(limits);
   const auto t0 = base_time();
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(controller.admit("dn-a", 1.0, t0).admitted);
+    ASSERT_TRUE(controller.admit("dn-a", t0).admitted);
     controller.release("dn-a");
   }
   // Tighten mid-run: the existing bucket is lazily reconfigured on its
@@ -303,14 +246,14 @@ TEST(AdmissionControllerTest, HotReloadAppliesToNextDecision) {
   tightened.rate_limit_burst = 1.0;
   controller.set_limits(tightened);
   EXPECT_EQ(controller.limits().rate_limit_rps, 1.0);
-  ASSERT_TRUE(controller.admit("dn-a", 1.0, t0).admitted);
+  ASSERT_TRUE(controller.admit("dn-a", t0).admitted);
   controller.release("dn-a");
-  EXPECT_FALSE(controller.admit("dn-a", 1.0, t0).admitted);
+  EXPECT_FALSE(controller.admit("dn-a", t0).admitted);
   // Loosening restores the rate but not the spent tokens: nothing until
   // time passes, then the generous rate refills quickly.
   controller.set_limits(limits);
-  EXPECT_FALSE(controller.admit("dn-a", 1.0, t0).admitted);
-  EXPECT_TRUE(controller.admit("dn-a", 1.0, t0 + Millis(10)).admitted);
+  EXPECT_FALSE(controller.admit("dn-a", t0).admitted);
+  EXPECT_TRUE(controller.admit("dn-a", t0 + Millis(10)).admitted);
   controller.release("dn-a");
 }
 
@@ -326,7 +269,7 @@ TEST(AdmissionControllerTest, PreauthBucketIsSeparateFromIdentityBucket) {
   EXPECT_FALSE(controller.admit_preauth("10.0.0.1", t0).admitted);
   // Another address is unaffected, and the DN gate is untouched.
   EXPECT_TRUE(controller.admit_preauth("10.0.0.2", t0).admitted);
-  EXPECT_TRUE(controller.admit("dn-a", 1.0, t0).admitted);
+  EXPECT_TRUE(controller.admit("dn-a", t0).admitted);
   controller.release("dn-a");
   const auto counters = controller.counters();
   EXPECT_EQ(counters.preauth_accepted, 3u);
@@ -375,7 +318,6 @@ TEST(AdmissionFairnessProperty, EqualOfferedLoadGetsEqualAdmittedShare) {
   AdmissionLimits limits;
   limits.rate_limit_rps = kRate;
   limits.rate_limit_burst = kBurst;
-  limits.queue_capacity = 64;
   AdmissionController controller(limits);
 
   std::mt19937 rng(12345);  // deterministic property run
@@ -390,7 +332,7 @@ TEST(AdmissionFairnessProperty, EqualOfferedLoadGetsEqualAdmittedShare) {
     for (int k = 0; k < kIdentities / 2 + 1; ++k) {
       const int who = pick(rng);
       const std::string identity = "tenant-" + std::to_string(who);
-      const AdmissionDecision decision = controller.admit(identity, 1.0, now);
+      const AdmissionDecision decision = controller.admit(identity, now);
       if (decision.admitted) {
         ++admitted[static_cast<std::size_t>(who)];
         controller.release(identity);

@@ -61,7 +61,8 @@
 // Admission control & metrics (hot-reload the admission keys via SIGHUP):
 //   rate_limit_rps        <r>      # per-identity token refill rate (0 = off)
 //   rate_limit_burst      <n>      # per-identity burst (0 = derive from rate)
-//   max_queued_per_identity <n>    # fair-queue hard cap per identity
+//   max_queued_per_identity <n>    # per-identity in-flight cap (0 = off);
+//                                  # binds only below worker_threads
 //   preauth_rate_limit_rps <r>     # per-peer-address pre-handshake rate
 //   preauth_rate_limit_burst <n>
 //   metrics_enabled       0|1      # plaintext-HTTP /metrics endpoint
