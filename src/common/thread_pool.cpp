@@ -17,25 +17,10 @@ ThreadPool::~ThreadPool() {
     stopping_ = true;
   }
   cv_task_.notify_all();
-  cv_space_.notify_all();
   for (auto& t : workers_) t.join();
 }
 
 bool ThreadPool::submit(std::function<void()> task) {
-  {
-    std::unique_lock lock(mutex_);
-    cv_space_.wait(lock, [this] {
-      return stopping_ || max_queue_ == 0 || queue_.size() < max_queue_;
-    });
-    if (stopping_) return false;
-    queue_.push_back(std::move(task));
-    ++submitted_;
-  }
-  cv_task_.notify_one();
-  return true;
-}
-
-bool ThreadPool::try_submit(std::function<void()> task) {
   {
     const std::scoped_lock lock(mutex_);
     if (stopping_) return false;
@@ -73,8 +58,8 @@ void ThreadPool::worker_loop() {
       queue_.pop_front();
       ++active_;
     }
-    cv_space_.notify_one();
     task();
+    task = nullptr;  // wait_idle() returns only once its captures are gone
     {
       const std::scoped_lock lock(mutex_);
       --active_;

@@ -1,5 +1,5 @@
-// Bounded thread pool used by the MyProxy server and the Grid portal to
-// service connections. The paper positions the repository as a production
+// Bounded thread pool behind every TLS front end (tls/reactor.hpp) and the
+// store's startup scan. The paper positions the repository as a production
 // service shared by multiple portals (§3.3), so connection handling must not
 // spawn unbounded threads.
 #pragma once
@@ -17,8 +17,8 @@ namespace myproxy {
 class ThreadPool {
  public:
   /// Starts `workers` threads; queues at most `max_queue` pending tasks
-  /// (0 = unbounded). When the queue is full, submit() blocks — back-pressure
-  /// rather than memory growth under overload.
+  /// (0 = unbounded). When the queue is full, submit() refuses — the caller
+  /// sheds load rather than stalling behind a saturated pool.
   explicit ThreadPool(std::size_t workers, std::size_t max_queue = 0);
 
   ThreadPool(const ThreadPool&) = delete;
@@ -27,14 +27,9 @@ class ThreadPool {
   /// Drains the queue and joins all workers.
   ~ThreadPool();
 
-  /// Enqueue a task. Blocks while the queue is at capacity. Returns false if
-  /// the pool is shutting down (task not enqueued).
+  /// Enqueue a task without blocking: returns false (task not enqueued)
+  /// when the queue is at capacity or the pool is shutting down.
   bool submit(std::function<void()> task);
-
-  /// Non-blocking submit: returns false immediately (task not enqueued)
-  /// when the queue is at capacity or the pool is shutting down. Lets the
-  /// reactor shed load instead of stalling behind a saturated pool.
-  bool try_submit(std::function<void()> task);
 
   /// Queued-but-not-started task count (for stats/tests).
   [[nodiscard]] std::size_t pending() const;
@@ -54,7 +49,6 @@ class ThreadPool {
 
   mutable std::mutex mutex_;
   std::condition_variable cv_task_;   // workers wait for tasks
-  std::condition_variable cv_space_;  // producers wait for queue space
   std::condition_variable cv_idle_;   // wait_idle() waits here
   std::deque<std::function<void()>> queue_;
   std::vector<std::thread> workers_;

@@ -91,7 +91,7 @@ KeyPairPool::Stats KeyPairPool::stats() const {
 void KeyPairPool::schedule_refill_locked() {
   if (workers_ == nullptr || stopping_ || !refill_enabled_) return;
   while (ready_.size() + refills_in_flight_ < target_size_) {
-    if (!workers_->try_submit([this] { refill_task(); })) break;
+    if (!workers_->submit([this] { refill_task(); })) break;
     ++refills_in_flight_;
   }
 }

@@ -71,159 +71,139 @@ void ResourceService::start() {
   listener_.emplace(net::TcpListener::bind(0));
   port_ = listener_->port();
   pool_ = std::make_unique<ThreadPool>(worker_threads_, /*max_queue=*/128);
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  tls::ReactorOptions front_end;
+  front_end.busy_reply =
+      Response::make_error("server busy, try again").serialize();
+  reactor_ = std::make_unique<tls::Reactor>(
+      tls_context_, *listener_, *pool_, stats_, std::move(front_end),
+      [this](tls::TlsChannel& channel, std::string_view raw_request) {
+        serve(channel, raw_request);
+      });
+  reactor_->start();
   log::info(kLogComponent, "resource service listening on port {} as '{}'",
             port_, host_credential_.identity().str());
 }
 
 void ResourceService::stop() {
-  if (stopping_.exchange(true)) return;
-  if (listener_.has_value()) listener_->close();
-  if (accept_thread_.joinable()) accept_thread_.join();
+  if (reactor_ != nullptr) reactor_->stop();
   pool_.reset();
+  if (listener_.has_value()) listener_->close();
 }
 
-void ResourceService::accept_loop() {
-  while (!stopping_.load()) {
-    net::Socket socket;
-    try {
-      socket = listener_->accept();
-    } catch (const IoError&) {
-      break;
-    }
-    auto shared = std::make_shared<net::Socket>(std::move(socket));
-    pool_->submit([this, shared]() mutable {
-      handle_connection(std::move(*shared));
-    });
-  }
-}
-
-void ResourceService::handle_connection(net::Socket socket) {
+void ResourceService::serve(tls::TlsChannel& channel,
+                            std::string_view raw_request) {
+  pki::VerifiedIdentity peer;
   try {
-    auto channel = tls::TlsChannel::accept(tls_context_, std::move(socket));
-    pki::VerifiedIdentity peer;
-    try {
-      peer = trust_store_.verify(channel->peer_chain());
-    } catch (const Error& e) {
-      log::warn(kLogComponent, "authentication failed: {}", e.what());
-      channel->send(Response::make_error("authentication failed")
-                        .serialize());
-      return;
-    }
-    // §2.1: map the Grid identity to a local account.
-    const auto local_user = gridmap_.lookup(peer.identity);
-    if (!local_user.has_value()) {
-      log::warn(kLogComponent, "no gridmap entry for '{}'",
-                peer.identity.str());
-      channel->send(
-          Response::make_error("identity not in gridmap").serialize());
-      return;
-    }
+    peer = trust_store_.verify(channel.peer_chain());
+  } catch (const Error& e) {
+    log::warn(kLogComponent, "authentication failed: {}", e.what());
+    channel.send(Response::make_error("authentication failed").serialize());
+    return;
+  }
+  // §2.1: map the Grid identity to a local account.
+  const auto local_user = gridmap_.lookup(peer.identity);
+  if (!local_user.has_value()) {
+    log::warn(kLogComponent, "no gridmap entry for '{}'", peer.identity.str());
+    channel.send(Response::make_error("identity not in gridmap").serialize());
+    return;
+  }
 
-    const ResourceRequest request =
-        ResourceRequest::parse(channel->receive());
-    log::info(kLogComponent, "{} from '{}' (local user '{}')",
-              request.action, peer.identity.str(), *local_user);
+  const ResourceRequest request = ResourceRequest::parse(raw_request);
+  log::info(kLogComponent, "{} from '{}' (local user '{}')", request.action,
+            peer.identity.str(), *local_user);
 
-    try {
-      if (request.action == "whoami") {
-        Response response;
-        response.fields["LOCAL_USER"] = *local_user;
-        response.fields["DN"] = peer.identity.str();
-        if (peer.limited) response.fields["LIMITED"] = "1";
-        channel->send(response.serialize());
-      } else if (request.action == "submit") {
-        // GSI semantics: limited proxies cannot start jobs ("GRAM refuses
-        // limited proxies"); storage access below remains allowed.
-        if (peer.limited) {
-          throw AuthorizationError(
-              "limited proxies may not submit jobs");
-        }
-        require_right(peer, kRightJobSubmit);
-        if (request.args.empty() || request.args[0].empty()) {
-          throw PolicyError("job command must not be empty");
-        }
-        // Delegate a proxy for the job so it can act unattended (§2.4's
-        // motivating example).
-        gsi::DelegationRequest delegation = gsi::begin_delegation();
-        channel->send(Response::make_ok().serialize());
-        channel->send(delegation.csr_pem);
-        const std::string chain_pem = channel->receive();
-        gsi::Credential job_credential = gsi::complete_delegation(
-            std::move(delegation.key), chain_pem);
-        const auto job_identity =
-            trust_store_.verify(job_credential.full_chain());
-        if (!(job_identity.identity == peer.identity)) {
-          throw AuthorizationError(
-              "delegated job credential identity mismatch");
-        }
-
-        JobRecord job;
-        job.local_user = *local_user;
-        job.owner_dn = peer.identity.str();
-        job.command = request.args[0];
-        job.submitted_at = now();
-        job.credential_expires = job_credential.not_after();
-        {
-          const std::scoped_lock lock(mutex_);
-          job.id = fmt::format("job-{}", next_job_++);
-          jobs_[job.id] = job;
-          job_credentials_.emplace(job.id, std::move(job_credential));
-        }
-        Response response;
-        response.fields["JOB_ID"] = job.id;
-        channel->send(response.serialize());
-      } else if (request.action == "status") {
-        require_right(peer, kRightJobStatus);
-        if (request.args.empty()) throw PolicyError("missing job id");
-        const std::scoped_lock lock(mutex_);
-        const auto it = jobs_.find(request.args[0]);
-        if (it == jobs_.end() || it->second.owner_dn != peer.identity.str()) {
-          throw NotFoundError("no such job");
-        }
-        Response response;
-        response.fields["STATE"] =
-            it->second.state == JobState::kRunning        ? "running"
-            : it->second.state == JobState::kCompleted    ? "completed"
-                                                          : "credential-expired";
-        response.fields["CRED_EXPIRES"] =
-            std::to_string(to_unix(it->second.credential_expires));
-        channel->send(response.serialize());
-      } else if (request.action == "store") {
-        require_right(peer, kRightFileWrite);
-        if (request.args.empty()) throw PolicyError("missing file name");
-        channel->send(Response::make_ok().serialize());
-        const std::string content = channel->receive();
-        {
-          const std::scoped_lock lock(mutex_);
-          files_[fmt::format("{}/{}", *local_user, request.args[0])] =
-              content;
-        }
-        channel->send(Response::make_ok().serialize());
-      } else if (request.action == "fetch") {
-        require_right(peer, kRightFileRead);
-        if (request.args.empty()) throw PolicyError("missing file name");
-        std::string content;
-        {
-          const std::scoped_lock lock(mutex_);
-          const auto it =
-              files_.find(fmt::format("{}/{}", *local_user, request.args[0]));
-          if (it == files_.end()) throw NotFoundError("no such file");
-          content = it->second;
-        }
-        channel->send(Response::make_ok().serialize());
-        channel->send(content);
-      } else {
-        throw ProtocolError(
-            fmt::format("unknown action '{}'", request.action));
+  try {
+    if (request.action == "whoami") {
+      Response response;
+      response.fields["LOCAL_USER"] = *local_user;
+      response.fields["DN"] = peer.identity.str();
+      if (peer.limited) response.fields["LIMITED"] = "1";
+      channel.send(response.serialize());
+    } else if (request.action == "submit") {
+      // GSI semantics: limited proxies cannot start jobs ("GRAM refuses
+      // limited proxies"); storage access below remains allowed.
+      if (peer.limited) {
+        throw AuthorizationError("limited proxies may not submit jobs");
       }
-    } catch (const Error& e) {
-      log::warn(kLogComponent, "{} failed for '{}': {}", request.action,
-                peer.identity.str(), e.what());
-      channel->send(Response::make_error(e.what()).serialize());
+      require_right(peer, kRightJobSubmit);
+      if (request.args.empty() || request.args[0].empty()) {
+        throw PolicyError("job command must not be empty");
+      }
+      // Delegate a proxy for the job so it can act unattended (§2.4's
+      // motivating example).
+      gsi::DelegationRequest delegation = gsi::begin_delegation();
+      channel.send(Response::make_ok().serialize());
+      channel.send(delegation.csr_pem);
+      const std::string chain_pem = channel.receive();
+      gsi::Credential job_credential =
+          gsi::complete_delegation(std::move(delegation.key), chain_pem);
+      const auto job_identity =
+          trust_store_.verify(job_credential.full_chain());
+      if (!(job_identity.identity == peer.identity)) {
+        throw AuthorizationError("delegated job credential identity mismatch");
+      }
+
+      JobRecord job;
+      job.local_user = *local_user;
+      job.owner_dn = peer.identity.str();
+      job.command = request.args[0];
+      job.submitted_at = now();
+      job.credential_expires = job_credential.not_after();
+      {
+        const std::scoped_lock lock(mutex_);
+        job.id = fmt::format("job-{}", next_job_++);
+        jobs_[job.id] = job;
+        job_credentials_.emplace(job.id, std::move(job_credential));
+      }
+      Response response;
+      response.fields["JOB_ID"] = job.id;
+      channel.send(response.serialize());
+    } else if (request.action == "status") {
+      require_right(peer, kRightJobStatus);
+      if (request.args.empty()) throw PolicyError("missing job id");
+      const std::scoped_lock lock(mutex_);
+      const auto it = jobs_.find(request.args[0]);
+      if (it == jobs_.end() || it->second.owner_dn != peer.identity.str()) {
+        throw NotFoundError("no such job");
+      }
+      Response response;
+      response.fields["STATE"] =
+          it->second.state == JobState::kRunning        ? "running"
+          : it->second.state == JobState::kCompleted    ? "completed"
+                                                        : "credential-expired";
+      response.fields["CRED_EXPIRES"] =
+          std::to_string(to_unix(it->second.credential_expires));
+      channel.send(response.serialize());
+    } else if (request.action == "store") {
+      require_right(peer, kRightFileWrite);
+      if (request.args.empty()) throw PolicyError("missing file name");
+      channel.send(Response::make_ok().serialize());
+      const std::string content = channel.receive();
+      {
+        const std::scoped_lock lock(mutex_);
+        files_[fmt::format("{}/{}", *local_user, request.args[0])] = content;
+      }
+      channel.send(Response::make_ok().serialize());
+    } else if (request.action == "fetch") {
+      require_right(peer, kRightFileRead);
+      if (request.args.empty()) throw PolicyError("missing file name");
+      std::string content;
+      {
+        const std::scoped_lock lock(mutex_);
+        const auto it =
+            files_.find(fmt::format("{}/{}", *local_user, request.args[0]));
+        if (it == files_.end()) throw NotFoundError("no such file");
+        content = it->second;
+      }
+      channel.send(Response::make_ok().serialize());
+      channel.send(content);
+    } else {
+      throw ProtocolError(fmt::format("unknown action '{}'", request.action));
     }
-  } catch (const std::exception& e) {
-    log::warn(kLogComponent, "connection aborted: {}", e.what());
+  } catch (const Error& e) {
+    log::warn(kLogComponent, "{} failed for '{}': {}", request.action,
+              peer.identity.str(), e.what());
+    channel.send(Response::make_error(e.what()).serialize());
   }
 }
 

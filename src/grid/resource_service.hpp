@@ -14,15 +14,16 @@
 //    chain: "job-submit", "job-status", "file-read", "file-write";
 //  * job submission delegates a proxy to the resource so the job can act
 //    (and be renewed, §6.6) after the user disconnects.
+//
+// Connections arrive through the shared TLS front end (tls/reactor.hpp),
+// which bounds the handshake and the request and sheds at its cap.
 #pragma once
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -30,6 +31,7 @@
 #include "gsi/gridmap.hpp"
 #include "net/socket.hpp"
 #include "pki/trust_store.hpp"
+#include "tls/reactor.hpp"
 #include "tls/tls_channel.hpp"
 
 namespace myproxy::grid {
@@ -94,8 +96,8 @@ class ResourceService {
       std::string_view local_user, std::string_view name) const;
 
  private:
-  void accept_loop();
-  void handle_connection(net::Socket socket);
+  /// The front end's serve callback: authenticate, map, run one action.
+  void serve(tls::TlsChannel& channel, std::string_view raw_request);
 
   gsi::Credential host_credential_;
   pki::TrustStore trust_store_;
@@ -104,10 +106,10 @@ class ResourceService {
 
   std::optional<net::TcpListener> listener_;
   std::uint16_t port_ = 0;
-  std::thread accept_thread_;
-  std::unique_ptr<ThreadPool> pool_;
-  std::atomic<bool> stopping_{false};
   std::size_t worker_threads_;
+  std::unique_ptr<ThreadPool> pool_;
+  tls::ReactorStats stats_;
+  std::unique_ptr<tls::Reactor> reactor_;
 
   mutable std::mutex mutex_;
   std::map<std::string, JobRecord> jobs_;

@@ -2,9 +2,10 @@
 // response, CSR blob, certificate-chain blob), so transports expose
 // whole-message send/receive with 4-byte big-endian length framing.
 //
-// Implementations: PlainChannel (unencrypted, for tests and for the
-// "SSL off" ablation benchmark) and tls::TlsChannel (the real transport —
-// paper §5.1: "all data passing to and from the server is encrypted").
+// Implementations: PlainChannel (unencrypted, for tests and for the front
+// end's busy reply to a connection it sheds before TLS) and
+// tls::TlsChannel (the real transport — paper §5.1: "all data passing to
+// and from the server is encrypted").
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,5 @@
 // Single-threaded epoll event loop with timers and cross-thread task
-// posting — the reactor core behind the server's connection front end.
+// posting — the core of the TLS front end (tls/reactor.hpp).
 //
 // Ownership and threading rules (deliberately strict so connection state
 // machines need no locks):

@@ -42,51 +42,41 @@ void GridPortal::start() {
   port_ = listener_->port();
   pool_ = std::make_unique<ThreadPool>(config_.worker_threads,
                                        /*max_queue=*/128);
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  tls::ReactorOptions front_end;
+  front_end.busy_reply = HttpResponse::error(503, "Service Unavailable",
+                                             "portal busy, try again\n")
+                             .serialize();
+  reactor_ = std::make_unique<tls::Reactor>(
+      https_context_, *listener_, *pool_, stats_, std::move(front_end),
+      [this](tls::TlsChannel& channel, std::string_view raw_request) {
+        serve(channel, raw_request);
+      });
+  reactor_->start();
   log::info(kLogComponent, "portal listening on port {} as '{}'", port_,
             credential_.identity().str());
 }
 
 void GridPortal::stop() {
-  if (stopping_.exchange(true)) return;
-  if (listener_.has_value()) listener_->close();
-  if (accept_thread_.joinable()) accept_thread_.join();
+  if (reactor_ != nullptr) reactor_->stop();
   pool_.reset();
+  if (listener_.has_value()) listener_->close();
 }
 
-void GridPortal::accept_loop() {
-  while (!stopping_.load()) {
-    net::Socket socket;
-    try {
-      socket = listener_->accept();
-    } catch (const IoError&) {
-      break;
-    }
-    auto shared = std::make_shared<net::Socket>(std::move(socket));
-    pool_->submit([this, shared]() mutable {
-      handle_connection(std::move(*shared));
-    });
-  }
-}
-
-void GridPortal::handle_connection(net::Socket socket) {
+void GridPortal::serve(tls::TlsChannel& channel,
+                       std::string_view raw_request) {
+  // §5.2: "The portal web server must currently be configured to only
+  // allow HTTP connections secured with SSL encryption (HTTPS)" — the
+  // channel is the front end's server-auth-only TLS.
+  const HttpRequest request = parse_request(raw_request);
+  HttpResponse response;
   try {
-    // §5.2: "The portal web server must currently be configured to only
-    // allow HTTP connections secured with SSL encryption (HTTPS)".
-    auto channel = tls::TlsChannel::accept(https_context_, std::move(socket));
-    const HttpRequest request = parse_request(channel->receive());
-    HttpResponse response;
-    try {
-      response = handle(request);
-    } catch (const Error& e) {
-      log::warn(kLogComponent, "request {} {} failed: {}", request.method,
-                request.target, e.what());
-      response = HttpResponse::error(500, "Internal Server Error", e.what());
-    }
-    channel->send(response.serialize());
-  } catch (const std::exception& e) {
-    log::warn(kLogComponent, "connection aborted: {}", e.what());
+    response = handle(request);
+  } catch (const Error& e) {
+    log::warn(kLogComponent, "request {} {} failed: {}", request.method,
+              request.target, e.what());
+    response = HttpResponse::error(500, "Internal Server Error", e.what());
   }
+  channel.send(response.serialize());
 }
 
 HttpResponse GridPortal::handle(const HttpRequest& request) {

@@ -19,14 +19,16 @@
 //   GET  /jobs        job table
 //   POST /store       form {name, content} -> file at the Grid resource
 //   POST /logout      destroys the session credential
+//
+// HTTPS connections arrive through the shared TLS front end
+// (tls/reactor.hpp): handshake and request deadlines, a connection cap and
+// shedding, with each request served on a worker.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -35,6 +37,7 @@
 #include "pki/trust_store.hpp"
 #include "portal/http.hpp"
 #include "portal/session.hpp"
+#include "tls/reactor.hpp"
 #include "tls/tls_channel.hpp"
 
 namespace myproxy::portal {
@@ -79,8 +82,8 @@ class GridPortal {
   [[nodiscard]] HttpResponse handle(const HttpRequest& request);
 
  private:
-  void accept_loop();
-  void handle_connection(net::Socket socket);
+  /// The front end's serve callback: one HTTP request, one response.
+  void serve(tls::TlsChannel& channel, std::string_view raw_request);
 
   [[nodiscard]] HttpResponse login_page(std::string_view message = {}) const;
   [[nodiscard]] HttpResponse handle_login(const HttpRequest& request);
@@ -104,9 +107,9 @@ class GridPortal {
 
   std::optional<net::TcpListener> listener_;
   std::uint16_t port_ = 0;
-  std::thread accept_thread_;
   std::unique_ptr<ThreadPool> pool_;
-  std::atomic<bool> stopping_{false};
+  tls::ReactorStats stats_;
+  std::unique_ptr<tls::Reactor> reactor_;
 };
 
 /// A minimal scripted "browser" for tests and examples: TLS (server-auth

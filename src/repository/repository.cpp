@@ -250,13 +250,6 @@ gsi::Credential Repository::unseal(
               "unseal called on a pass-phrase-sealed record");
 }
 
-std::optional<CredentialInfo> Repository::info(std::string_view username,
-                                               std::string_view name) const {
-  const auto record = store_->get(username, name);
-  if (!record.has_value()) return std::nullopt;
-  return to_info(*record);
-}
-
 std::vector<CredentialInfo> Repository::list(std::string_view username) const {
   std::vector<CredentialInfo> out;
   for (const auto& record : store_->list(username)) {

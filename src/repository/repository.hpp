@@ -140,11 +140,6 @@ class Repository {
       const CredentialRecord& record,
       std::span<const pki::Certificate> known = {}) const;
 
-  /// Record metadata without authentication beyond knowing the name
-  /// (server layer gates INFO by the retriever ACL).
-  [[nodiscard]] std::optional<CredentialInfo> info(
-      std::string_view username, std::string_view name = {}) const;
-
   [[nodiscard]] std::vector<CredentialInfo> list(
       std::string_view username) const;
 

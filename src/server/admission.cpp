@@ -113,36 +113,40 @@ FairQueue::FairQueue(std::size_t max_per_identity)
     : max_per_identity_(max_per_identity) {}
 
 bool FairQueue::try_enter(const std::string& identity) {
-  const std::scoped_lock lock(mutex_);
-  std::size_t& held = held_[identity];
-  if (max_per_identity_ != 0 && held >= max_per_identity_) return false;
+  const std::size_t cap = max_per_identity_.load(std::memory_order_relaxed);
+  Stripe& stripe = stripes_[identity_hash(identity) % kStripes];
+  const std::scoped_lock lock(stripe.mutex);
+  std::size_t& held = stripe.held[identity];
+  if (cap != 0 && held >= cap) return false;
   held += 1;
-  total_ += 1;
+  total_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
 void FairQueue::leave(const std::string& identity) {
-  const std::scoped_lock lock(mutex_);
-  const auto it = held_.find(identity);
-  if (it == held_.end()) return;
-  total_ -= 1;
-  if (--it->second == 0) held_.erase(it);
+  Stripe& stripe = stripes_[identity_hash(identity) % kStripes];
+  const std::scoped_lock lock(stripe.mutex);
+  const auto it = stripe.held.find(identity);
+  if (it == stripe.held.end()) return;
+  total_.fetch_sub(1, std::memory_order_relaxed);
+  if (--it->second == 0) stripe.held.erase(it);
 }
 
 void FairQueue::configure(std::size_t max_per_identity) {
-  const std::scoped_lock lock(mutex_);
-  max_per_identity_ = max_per_identity;
+  max_per_identity_.store(max_per_identity, std::memory_order_relaxed);
 }
 
 std::size_t FairQueue::active() const {
-  const std::scoped_lock lock(mutex_);
-  return total_;
+  return total_.load(std::memory_order_relaxed);
 }
 
 // --- AdmissionController -----------------------------------------------------
 
 AdmissionController::AdmissionController(AdmissionLimits limits)
-    : limits_(limits),
+    : rate_(limits.rate_limit_rps),
+      burst_(limits.rate_limit_burst),
+      preauth_rate_(limits.preauth_rate_limit_rps),
+      preauth_burst_(limits.preauth_rate_limit_burst),
       queue_(limits.max_queued_per_identity) {}
 
 AdmissionController::Stripe& AdmissionController::stripe_for(
@@ -176,13 +180,8 @@ bool AdmissionController::bucket_take(Stripe* stripes,
 
 AdmissionDecision AdmissionController::admit_preauth(
     const std::string& peer_address, Clock::time_point now) {
-  double rate = 0.0;
-  double burst = 0.0;
-  {
-    const std::scoped_lock lock(limits_mutex_);
-    rate = limits_.preauth_rate_limit_rps;
-    burst = limits_.preauth_rate_limit_burst;
-  }
+  const double rate = preauth_rate_.load(std::memory_order_relaxed);
+  const double burst = preauth_burst_.load(std::memory_order_relaxed);
   AdmissionDecision decision;
   if (rate <= 0.0) {
     preauth_accepted_.fetch_add(1, std::memory_order_relaxed);
@@ -201,13 +200,8 @@ AdmissionDecision AdmissionController::admit_preauth(
 
 AdmissionDecision AdmissionController::admit(const std::string& identity,
                                              Clock::time_point now) {
-  double rate = 0.0;
-  double burst = 0.0;
-  {
-    const std::scoped_lock lock(limits_mutex_);
-    rate = limits_.rate_limit_rps;
-    burst = limits_.rate_limit_burst;
-  }
+  const double rate = rate_.load(std::memory_order_relaxed);
+  const double burst = burst_.load(std::memory_order_relaxed);
   AdmissionDecision decision;
   if (rate > 0.0 &&
       !bucket_take(identity_stripes_, identity, rate, burst, now,
@@ -270,18 +264,26 @@ void AdmissionController::release(const std::string& identity) {
 }
 
 void AdmissionController::set_limits(const AdmissionLimits& limits) {
-  {
-    const std::scoped_lock lock(limits_mutex_);
-    limits_ = limits;
-  }
+  rate_.store(limits.rate_limit_rps, std::memory_order_relaxed);
+  burst_.store(limits.rate_limit_burst, std::memory_order_relaxed);
+  preauth_rate_.store(limits.preauth_rate_limit_rps,
+                      std::memory_order_relaxed);
+  preauth_burst_.store(limits.preauth_rate_limit_burst,
+                       std::memory_order_relaxed);
   queue_.configure(limits.max_queued_per_identity);
   // Existing buckets reconfigure lazily on their next admission decision.
   generation_.fetch_add(1, std::memory_order_release);
 }
 
 AdmissionLimits AdmissionController::limits() const {
-  const std::scoped_lock lock(limits_mutex_);
-  return limits_;
+  AdmissionLimits limits;
+  limits.rate_limit_rps = rate_.load(std::memory_order_relaxed);
+  limits.rate_limit_burst = burst_.load(std::memory_order_relaxed);
+  limits.max_queued_per_identity = queue_.max_per_identity();
+  limits.preauth_rate_limit_rps = preauth_rate_.load(std::memory_order_relaxed);
+  limits.preauth_rate_limit_burst =
+      preauth_burst_.load(std::memory_order_relaxed);
+  return limits;
 }
 
 AdmissionController::Counters AdmissionController::counters() const {

@@ -113,7 +113,9 @@ class TokenBucket {
 /// The per-identity in-flight cap: each identity may hold at most
 /// `max_per_identity` slots at once (0 = unlimited), the same bound for
 /// every DN. It keeps one DN from holding every worker only when the cap
-/// is below the worker count.
+/// is below the worker count. Held counts are striped by identity like the
+/// admission buckets, so requests from different identities only contend
+/// within a stripe.
 class FairQueue {
  public:
   explicit FairQueue(std::size_t max_per_identity);
@@ -124,15 +126,24 @@ class FairQueue {
 
   /// Applies to the next try_enter; slots already held stay held.
   void configure(std::size_t max_per_identity);
+  [[nodiscard]] std::size_t max_per_identity() const {
+    return max_per_identity_.load(std::memory_order_relaxed);
+  }
 
   /// Slots currently held (gauge).
   [[nodiscard]] std::size_t active() const;
 
  private:
-  mutable std::mutex mutex_;
-  std::size_t max_per_identity_;
-  std::size_t total_ = 0;
-  std::unordered_map<std::string, std::size_t> held_;
+  static constexpr std::size_t kStripes = 16;
+
+  struct Stripe {
+    std::mutex mutex;
+    std::unordered_map<std::string, std::size_t> held;
+  };
+
+  std::atomic<std::size_t> max_per_identity_;
+  std::atomic<std::size_t> total_{0};
+  Stripe stripes_[kStripes];
 };
 
 struct AdmissionDecision {
@@ -222,8 +233,13 @@ class AdmissionController {
 
   [[nodiscard]] Stripe& stripe_for(Stripe* stripes, const std::string& key);
 
-  mutable std::mutex limits_mutex_;
-  AdmissionLimits limits_;
+  /// The limits, read lock-free by every decision (the cap lives in
+  /// queue_). A decision racing a reload may pair a new rate with an old
+  /// burst, which the next decision corrects.
+  std::atomic<double> rate_;
+  std::atomic<double> burst_;
+  std::atomic<double> preauth_rate_;
+  std::atomic<double> preauth_burst_;
   std::atomic<std::uint64_t> generation_{0};
 
   /// Per-identity served/shed tallies, striped like the buckets. Separate

@@ -85,11 +85,6 @@ void AuditLog::set_file(const std::filesystem::path& path) {
   }
 }
 
-bool AuditLog::has_file() const {
-  const std::scoped_lock lock(mutex_);
-  return file_.is_open();
-}
-
 void AuditLog::record(AuditEvent event) {
   const std::scoped_lock lock(mutex_);
   if (file_.is_open()) {

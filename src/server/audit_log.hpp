@@ -54,9 +54,6 @@ class AuditLog {
   /// Throws IoError when the file cannot be opened.
   void set_file(const std::filesystem::path& path);
 
-  /// Whether a file sink is attached.
-  [[nodiscard]] bool has_file() const;
-
   void record(AuditEvent event);
 
   /// Newest-last snapshot of the ring.

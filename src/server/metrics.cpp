@@ -2,8 +2,13 @@
 
 #include <algorithm>
 #include <bit>
+#include <memory>
 
+#include "common/clock.hpp"
+#include "common/error.hpp"
 #include "common/format.hpp"
+#include "common/logging.hpp"
+#include "portal/http.hpp"
 
 namespace myproxy::server {
 
@@ -71,6 +76,125 @@ void append_histogram(std::string& out, std::string_view name,
       label.empty() ? std::string() : fmt::format("{{{}}}", label);
   out += fmt::format("{}_sum{} {}\n", name, selector, snapshot.sum_us);
   out += fmt::format("{}_count{} {}\n", name, selector, snapshot.total);
+}
+
+// --- The /metrics scrape ----------------------------------------------------
+
+namespace {
+
+constexpr std::string_view kScrapeLog = "metrics";
+
+/// Whole-connection budget for one scrape, accept to last byte written.
+constexpr Millis kScrapeDeadline{2000};
+
+/// A scrape is a GET with no body, so the request ends at the header
+/// terminator; a longer head is dropped.
+constexpr std::size_t kMaxScrapeRequest = 8192;
+
+using Render = std::function<std::string()>;
+
+/// The serialized HTTP answer to one complete scrape request head.
+std::string scrape_response(std::string_view raw, const Render& render) {
+  portal::HttpResponse response;
+  try {
+    const portal::HttpRequest request = portal::parse_request(raw);
+    const std::string_view target(request.target);
+    const bool is_metrics =
+        target == "/metrics" || target.substr(0, 9) == "/metrics?";
+    if (request.method != "GET") {
+      response = portal::HttpResponse::error(405, "Method Not Allowed",
+                                             "GET only\n");
+    } else if (!is_metrics) {
+      response =
+          portal::HttpResponse::error(404, "Not Found", "try /metrics\n");
+    } else {
+      response.status = 200;
+      response.reason = "OK";
+      response.headers["content-type"] =
+          "text/plain; version=0.0.4; charset=utf-8";
+      response.body = render();
+    }
+  } catch (const Error&) {
+    response = portal::HttpResponse::error(400, "Bad Request",
+                                           "malformed request\n");
+  }
+  response.headers["connection"] = "close";
+  return response.serialize();
+}
+
+/// One scrape: read head → write response → close.
+struct Scrape {
+  Scrape(net::EventLoop& loop, Render render, net::Socket socket)
+      : loop(loop), render(std::move(render)), socket(std::move(socket)) {}
+
+  net::EventLoop& loop;
+  Render render;
+  net::Socket socket;
+  std::string request;
+  std::string response;  ///< set once the request head is complete
+  std::size_t written = 0;
+  net::EventLoop::TimerId deadline_timer = 0;
+
+  void end() {
+    // The socket closes with the last reference, once the loop drops the
+    // callbacks that hold it.
+    loop.del_fd(socket.fd());
+    loop.cancel_timer(deadline_timer);
+  }
+
+  void advance() {
+    try {
+      while (response.empty()) {
+        const auto chunk = socket.try_read_some(1024);
+        if (!chunk.has_value()) return;  // wait for more of the head
+        if (chunk->empty()) throw IoError("scraper closed mid-request");
+        request += *chunk;
+        if (request.find("\r\n\r\n") != std::string::npos) {
+          response = scrape_response(request, render);
+          loop.mod_fd(socket.fd(), net::EventLoop::kWrite);
+        } else if (request.size() > kMaxScrapeRequest) {
+          throw ProtocolError("oversized metrics request");
+        }
+      }
+      const std::string_view view(response);
+      while (written < view.size()) {
+        const std::size_t n = socket.try_write(view.substr(written));
+        if (n == 0) return;  // send buffer full: wait for writability
+        written += n;
+      }
+      socket.shutdown_send();
+    } catch (const std::exception& e) {
+      // A broken or hostile scraper costs only its own connection.
+      log::warn(kScrapeLog, "scrape failed: {}", e.what());
+    }
+    end();
+  }
+};
+
+}  // namespace
+
+void serve_metrics(net::EventLoop& loop, net::TcpListener& listener,
+                   Render render) {
+  listener.set_nonblocking(true);
+  const auto on_accept = [&loop, &listener, render](std::uint32_t) {
+    try {
+      while (auto socket = listener.try_accept()) {
+        socket->set_nonblocking(true);
+        auto scrape =
+            std::make_shared<Scrape>(loop, render, std::move(*socket));
+        loop.add_fd(scrape->socket.fd(), net::EventLoop::kRead,
+                    [scrape](std::uint32_t) { scrape->advance(); });
+        scrape->deadline_timer = loop.add_timer(kScrapeDeadline, [scrape] {
+          log::warn(kScrapeLog, "scrape timed out: deadline expired");
+          scrape->end();
+        });
+      }
+    } catch (const std::exception& e) {
+      // Level-triggered readiness brings any still-pending scrapers back.
+      log::warn(kScrapeLog, "scrape accept failed: {}", e.what());
+    }
+  };
+  loop.add_fd(listener.fd(), net::EventLoop::kRead, on_accept);
 }
 
 }  // namespace myproxy::server

@@ -1,15 +1,19 @@
-// Live metrics for the repository server: lock-free latency histograms and
-// their Prometheus text rendering. The plaintext /metrics scrape itself is
-// served on the reactor's loop 0 (reactor.hpp); MyProxyServer::start()
-// refuses a non-loopback bind unless metrics_bind_any is set, since the
-// scrape carries no credentials and the counters leak operational shape.
+// Live metrics for the repository server: lock-free latency histograms,
+// their Prometheus text rendering, and the plaintext /metrics scrape served
+// on the front end's loop 0. MyProxyServer::start() refuses a non-loopback
+// bind unless metrics_bind_any is set, since the scrape carries no
+// credentials and the counters leak operational shape.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
+
+#include "net/event_loop.hpp"
+#include "net/socket.hpp"
 
 namespace myproxy::server {
 
@@ -61,5 +65,14 @@ class LatencyHistogram {
 void append_histogram(std::string& out, std::string_view name,
                       std::string_view label,
                       const LatencyHistogram::Snapshot& snapshot);
+
+/// Answer plaintext scrapes of `listener` on `loop`: each connection's
+/// request head is read, answered with `render()` for GET /metrics (404 or
+/// 405 otherwise) and closed, all non-blocking under one 2 s deadline, so a
+/// scraper that dribbles its request or stops reading costs only its own
+/// connection. Call before the loop runs or on its thread; `listener` must
+/// outlive the loop.
+void serve_metrics(net::EventLoop& loop, net::TcpListener& listener,
+                   std::function<std::string()> render);
 
 }  // namespace myproxy::server

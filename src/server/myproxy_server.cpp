@@ -14,7 +14,6 @@
 #include "repository/credential_store.hpp"
 #include "replication/shipper.hpp"
 #include "server/http_binding.hpp"
-#include "server/reactor.hpp"
 
 namespace myproxy::server {
 
@@ -58,6 +57,16 @@ std::atomic<std::uint64_t> g_reload_generation{0};
 
 void on_sighup(int) {
   g_reload_generation.fetch_add(1, std::memory_order_relaxed);
+}
+
+/// Run `tick` on `loop` every `period`, the first time `period` from now.
+/// The loop re-arms from inside the fired callback, on its own thread; a
+/// tick must not block the loop.
+void every(net::EventLoop& loop, Millis period, std::function<void()> tick) {
+  loop.add_timer(period, [&loop, period, tick = std::move(tick)] {
+    tick();
+    every(loop, period, tick);
+  });
 }
 
 /// Map an internal failure to the error text put on the wire. Auth errors
@@ -162,6 +171,7 @@ struct ClusterRefusal {
 /// Client-facing pacing hint while a shard is fenced: the cutover drain is
 /// a handful of journal batches, so one short beat is enough.
 constexpr Millis kFenceRetryAfter{200};
+constexpr char kFencedDetail[] = "write fenced during shard cutover";
 
 /// How many per-identity admission rows STATS and /metrics surface.
 constexpr std::size_t kTopIdentities = 5;
@@ -254,10 +264,33 @@ void MyProxyServer::start() {
   }
   pool_ = std::make_unique<ThreadPool>(config_.worker_threads,
                                       kMaxPendingConnections);
-  reactor_ = std::make_unique<Reactor>(
-      *this, *listener_,
-      metrics_listener_.has_value() ? &*metrics_listener_ : nullptr,
-      config_.reactor_threads);
+  tls::ReactorOptions front_end;
+  front_end.loops = config_.reactor_threads;
+  front_end.handshake_timeout = config_.handshake_timeout;
+  front_end.request_timeout = config_.request_timeout;
+  front_end.max_connections = config_.max_connections;
+  front_end.busy_reply =
+      Response::make_error("server busy, try again").serialize();
+  // Pre-auth gate: per-peer-address token bucket, consulted before a
+  // handshake or a worker is spent on the connection.
+  front_end.gate =
+      [this](const net::Socket& socket) -> std::optional<tls::Refusal> {
+    const AdmissionDecision preauth =
+        admission_.admit_preauth(socket.peer_address());
+    if (preauth.admitted) return std::nullopt;
+    return tls::Refusal{"pre-auth address rate limit",
+                        busy_response(preauth.retry_after).serialize()};
+  };
+  reactor_ = std::make_unique<tls::Reactor>(
+      tls_context_, *listener_, *pool_, stats_, std::move(front_end),
+      [this](tls::TlsChannel& channel, std::string_view raw_request) {
+        serve_accepted(channel, raw_request);
+      });
+  net::EventLoop& housekeeping = reactor_->housekeeping_loop();
+  if (metrics_listener_.has_value()) {
+    serve_metrics(housekeeping, *metrics_listener_,
+                  [this] { return render_metrics(); });
+  }
   if (!config_.config_file.empty()) {
     // Admission limits hot-reload on SIGHUP without disturbing established
     // TLS sessions: the handler only bumps a generation; a loop-0 timer
@@ -265,10 +298,10 @@ void MyProxyServer::start() {
     std::signal(SIGHUP, on_sighup);
     seen_reload_generation_ =
         g_reload_generation.load(std::memory_order_relaxed);
-    reactor_->every(Millis(100), [this] { reload_tick(); });
+    every(housekeeping, Millis(100), [this] { reload_tick(); });
   }
   if (config_.sweep_interval > Seconds(0)) {
-    reactor_->every(config_.sweep_interval, [this] { sweep_tick(); });
+    every(housekeeping, config_.sweep_interval, [this] { sweep_tick(); });
   }
   reactor_->start();
   if (metrics_listener_.has_value()) {
@@ -283,12 +316,13 @@ void MyProxyServer::stop() {
   if (stopping_.exchange(true)) return;
   // Replica streams wait on the journal between heartbeats; wake them.
   if (config_.journal != nullptr) config_.journal->wake_waiters();
-  // Stop the event loops first (~Reactor: eventfd wakeup + join); that also
-  // deregisters the listeners, cancels the housekeeping timers and drops
-  // any connections and scrapes still in progress. Before the pools: a
-  // scrape reads their gauges.
-  reactor_.reset();
-  pool_.reset();  // drains and joins workers, with any queued sweep/reload
+  // Stop the event loops first (eventfd wakeup + join); that also
+  // deregisters the listeners, cancels the housekeeping timers, drops any
+  // connections and scrapes still in progress and waits out the handed-off
+  // ones. Before the pools: a scrape reads their gauges. The stopped
+  // reactor stays, so in_flight() stays readable.
+  if (reactor_ != nullptr) reactor_->stop();
+  pool_.reset();  // joins workers, after any queued sweep/reload
   key_pool_.reset();  // after workers: handlers may still hold the pool
   replica_session_.reset();  // after workers: STATS handlers read its stats
   if (listener_.has_value()) listener_->close();
@@ -307,7 +341,7 @@ void MyProxyServer::reload_limits(const AdmissionLimits& limits) {
 
 void MyProxyServer::sweep_tick() {
   if (sweep_in_flight_.exchange(true)) return;
-  const bool queued = pool_->try_submit([this] {
+  const bool queued = pool_->submit([this] {
     const std::size_t swept = repository_->sweep_expired();
     stats_.sweeps.fetch_add(1, std::memory_order_relaxed);
     stats_.records_swept.fetch_add(swept, std::memory_order_relaxed);
@@ -325,7 +359,7 @@ void MyProxyServer::reload_tick() {
   const std::uint64_t generation =
       g_reload_generation.load(std::memory_order_relaxed);
   if (generation == seen_reload_generation_) return;
-  const bool queued = pool_->try_submit([this] {
+  const bool queued = pool_->submit([this] {
     try {
       const Config config = Config::load(config_.config_file);
       reload_limits(admission_limits_from_config(config));
@@ -337,42 +371,6 @@ void MyProxyServer::reload_tick() {
     }
   });
   if (queued) seen_reload_generation_ = generation;  // else: next tick
-}
-
-bool MyProxyServer::reserve_connection_slot() {
-  const std::size_t current =
-      in_flight_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (config_.max_connections != 0 && current > config_.max_connections) {
-    in_flight_.fetch_sub(1, std::memory_order_relaxed);
-    return false;
-  }
-  std::uint64_t peak = stats_.peak_in_flight.load(std::memory_order_relaxed);
-  while (current > peak &&
-         !stats_.peak_in_flight.compare_exchange_weak(
-             peak, current, std::memory_order_relaxed)) {
-  }
-  return true;
-}
-
-void MyProxyServer::release_connection_slot() {
-  in_flight_.fetch_sub(1, std::memory_order_relaxed);
-}
-
-void MyProxyServer::shed_connection(net::Socket socket,
-                                    std::string_view reason,
-                                    const Response& reply) {
-  stats_.shed_connections.fetch_add(1, std::memory_order_relaxed);
-  log::warn(kLogComponent, "shedding connection: {}", reason);
-  try {
-    // Best-effort courtesy note, one non-blocking write; TLS clients see the
-    // connection closed before the handshake, which they retry.
-    socket.set_nonblocking(true);
-    net::PlainChannel channel(std::move(socket));
-    channel.send(reply.serialize());
-    channel.close();
-  } catch (const std::exception&) {
-    // Shedding is advisory; failure to notify the peer is acceptable.
-  }
 }
 
 pki::VerifiedIdentity MyProxyServer::authenticate_peer(
@@ -407,56 +405,41 @@ pki::VerifiedIdentity MyProxyServer::authenticate_peer(
   return peer;
 }
 
-void MyProxyServer::serve_accepted(std::shared_ptr<tls::TlsChannel> channel,
-                                   std::string raw_request) {
+void MyProxyServer::serve_accepted(tls::TlsChannel& channel,
+                                   std::string_view raw_request) {
+  // Codec by first message, chosen before authentication so an HTTP client
+  // gets even its authentication failure as HTTP.
+  const bool http = http_binding::is_http(raw_request);
+  pki::VerifiedIdentity peer;
   try {
-    // The event loop enforced the handshake/request deadlines with timers;
-    // from here the worker uses blocking I/O under the per-request budget.
-    channel->make_blocking();
-    channel->set_deadlines(config_.request_timeout, config_.request_timeout);
-    // Codec by first message, chosen before authentication so an HTTP
-    // client gets even its authentication failure as HTTP.
-    const bool http = http_binding::is_http(raw_request);
-    pki::VerifiedIdentity peer;
-    try {
-      peer = authenticate_peer(*channel);
-    } catch (const Error& e) {
-      stats_.auth_failures.fetch_add(1, std::memory_order_relaxed);
-      log::warn(kLogComponent, "client authentication failed: {}", e.what());
-      audit_.record({now(), "CONNECT", "", "",
-                     AuditOutcome::kAuthenticationFailure, e.what()});
-      channel->send(http ? http_binding::error_reply(
-                               ErrorCode::kAuthentication,
-                               "authentication failed")
-                               .serialize()
-                         : Response::make_error("authentication failed")
-                               .serialize());
-      return;
-    }
-    if (http) {
-      serve_http(*channel, peer, raw_request);
-      return;
-    }
-    Request request;
-    try {
-      request = Request::parse(raw_request);
-    } catch (const Error& e) {
-      stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      log::warn(kLogComponent, "bad request from '{}': {}",
-                peer.identity.str(), e.what());
-      channel->send(Response::make_error("malformed request").serialize());
-      return;
-    }
-    (void)dispatch(*channel, peer, request);
-  } catch (const IoTimeout& e) {
-    // Slow, silent, or stalled peer: the deadline fired and the worker is
-    // now free again. This is the DoS-resilience path, not a server bug.
-    stats_.timeouts.fetch_add(1, std::memory_order_relaxed);
-    log::warn(kLogComponent, "connection timed out: {}", e.what());
-  } catch (const std::exception& e) {
-    stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-    log::warn(kLogComponent, "connection aborted: {}", e.what());
+    peer = authenticate_peer(channel);
+  } catch (const Error& e) {
+    stats_.auth_failures.fetch_add(1, std::memory_order_relaxed);
+    log::warn(kLogComponent, "client authentication failed: {}", e.what());
+    audit_.record({now(), "CONNECT", "", "",
+                   AuditOutcome::kAuthenticationFailure, e.what()});
+    channel.send(http ? http_binding::error_reply(ErrorCode::kAuthentication,
+                                                  "authentication failed")
+                            .serialize()
+                      : Response::make_error("authentication failed")
+                            .serialize());
+    return;
   }
+  if (http) {
+    serve_http(channel, peer, raw_request);
+    return;
+  }
+  Request request;
+  try {
+    request = Request::parse(raw_request);
+  } catch (const Error& e) {
+    stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
+    log::warn(kLogComponent, "bad request from '{}': {}",
+              peer.identity.str(), e.what());
+    channel.send(Response::make_error("malformed request").serialize());
+    return;
+  }
+  (void)dispatch(channel, peer, request);
 }
 
 void MyProxyServer::serve_http(net::Channel& channel,
@@ -581,25 +564,30 @@ std::optional<ErrorCode> MyProxyServer::dispatch(
   AuditEvent audit_event{now(), std::string(to_string(request.command)),
                          peer.identity.str(), request.username,
                          AuditOutcome::kSuccess, ""};
+  // Every refusal below ends the same way: bump its counter (admission
+  // keeps its own), audit it as an error, and send its frame.
+  const auto refuse = [&](std::atomic<std::uint64_t>* counter,
+                          std::string detail, const Response& reply) {
+    if (counter != nullptr) counter->fetch_add(1, std::memory_order_relaxed);
+    audit_event.outcome = AuditOutcome::kError;
+    audit_event.detail = std::move(detail);
+    audit_.record(std::move(audit_event));
+    channel.send(reply.serialize());
+  };
 
   // Cluster ownership enforcement: a request for a user whose shard lives
   // on another node is refused with a WRONG_SHARD frame naming the owner
   // and the map epoch — a routing-aware client refreshes its map and
   // retries there. Checked before the replica redirect: a replica answers
   // for its own node's shards only.
-  std::optional<Response> wrong_shard;
   if (!policy.control_plane) {
-    wrong_shard = cluster_refusal_for(request.username);
-  }
-  if (wrong_shard.has_value()) {
-    stats_.cluster_wrong_shard.fetch_add(1, std::memory_order_relaxed);
-    audit_event.outcome = AuditOutcome::kError;
-    audit_event.detail =
-        fmt::format("wrong shard (owner primary {})",
-                    wrong_shard->fields["PRIMARY"]);
-    audit_.record(std::move(audit_event));
-    channel.send(wrong_shard->serialize());
-    return std::nullopt;
+    if (auto wrong_shard = cluster_refusal_for(request.username)) {
+      refuse(&stats_.cluster_wrong_shard,
+             fmt::format("wrong shard (owner primary {})",
+                         wrong_shard->fields["PRIMARY"]),
+             *wrong_shard);
+      return std::nullopt;
+    }
   }
 
   // Fast-path fence refusal: a write for a shard in final migration
@@ -617,11 +605,8 @@ std::optional<ErrorCode> MyProxyServer::dispatch(
                    fenced_shard_.load(std::memory_order_acquire);
     }
     if (fenced) {
-      stats_.cluster_fenced_writes.fetch_add(1, std::memory_order_relaxed);
-      audit_event.outcome = AuditOutcome::kError;
-      audit_event.detail = "write fenced during shard cutover";
-      audit_.record(std::move(audit_event));
-      channel.send(busy_response(kFenceRetryAfter).serialize());
+      refuse(&stats_.cluster_fenced_writes, kFencedDetail,
+             busy_response(kFenceRetryAfter));
       return std::nullopt;
     }
   }
@@ -631,15 +616,11 @@ std::optional<ErrorCode> MyProxyServer::dispatch(
   // there instead of treating this as a hard failure.
   if (config_.replication_role == replication::ReplicationRole::kReplica &&
       write) {
-    stats_.repl_redirects.fetch_add(1, std::memory_order_relaxed);
     Response redirect = Response::make_error(
         "replica is read-only; retry this operation at the primary");
     redirect.fields["PRIMARY"] =
         std::to_string(config_.replication_primary_port);
-    audit_event.outcome = AuditOutcome::kError;
-    audit_event.detail = "redirected write to primary";
-    audit_.record(std::move(audit_event));
-    channel.send(redirect.serialize());
+    refuse(&stats_.repl_redirects, "redirected write to primary", redirect);
     return std::nullopt;
   }
 
@@ -652,10 +633,8 @@ std::optional<ErrorCode> MyProxyServer::dispatch(
       log::warn(kLogComponent, "admission shed ({}) for '{}': retry in {} ms",
                 decision.reason, peer.identity.str(),
                 decision.retry_after.count());
-      audit_event.outcome = AuditOutcome::kError;
-      audit_event.detail = fmt::format("admission shed ({})", decision.reason);
-      audit_.record(std::move(audit_event));
-      channel.send(busy_response(decision.retry_after).serialize());
+      refuse(nullptr, fmt::format("admission shed ({})", decision.reason),
+             busy_response(decision.retry_after));
       return std::nullopt;
     }
     admission_guard.emplace(admission_, peer.identity.str());
@@ -709,23 +688,17 @@ std::optional<ErrorCode> MyProxyServer::dispatch(
   } catch (const MigrationFenced&) {
     // The write lost the race with a cutover fence after passing the
     // fast-path check; the busy hint reuses the client's backoff machinery.
-    stats_.cluster_fenced_writes.fetch_add(1, std::memory_order_relaxed);
-    audit_event.outcome = AuditOutcome::kError;
-    audit_event.detail = "write fenced during shard cutover";
-    audit_.record(std::move(audit_event));
-    channel.send(busy_response(kFenceRetryAfter).serialize());
+    refuse(&stats_.cluster_fenced_writes, kFencedDetail,
+           busy_response(kFenceRetryAfter));
   } catch (const ClusterRefusal& refusal) {
     // Ownership moved while this request was mid-protocol (migration
     // committed between admission and mutation).
-    stats_.cluster_wrong_shard.fetch_add(1, std::memory_order_relaxed);
-    audit_event.outcome = AuditOutcome::kError;
-    audit_event.detail = "shard moved mid-request";
-    audit_.record(std::move(audit_event));
-    channel.send(refusal.response.serialize());
+    refuse(&stats_.cluster_wrong_shard, "shard moved mid-request",
+           refusal.response);
   } catch (const IoTimeout& e) {
     // Mid-command stall: the deadline freed this worker. Record the audit
-    // outcome here, then let serve_accepted count the timeout — the
-    // stalled channel is not worth another write.
+    // outcome here, then let the front end count the timeout — the stalled
+    // channel is not worth another write.
     audit_event.outcome = AuditOutcome::kError;
     audit_event.detail = e.what();
     audit_.record(std::move(audit_event));
@@ -1113,11 +1086,6 @@ cluster::ClusterMap MyProxyServer::cluster_map() const {
   return cluster_map_;
 }
 
-bool MyProxyServer::cluster_enabled() const {
-  const std::lock_guard lock(cluster_mutex_);
-  return !cluster_map_.empty();
-}
-
 std::optional<Response> MyProxyServer::cluster_refusal_for(
     const std::string& username) {
   const std::lock_guard lock(cluster_mutex_);
@@ -1413,7 +1381,7 @@ MyProxyServer::counter_snapshot() const {
   put("PROTOCOL_ERRORS", stats_.protocol_errors.load());
   put("TIMEOUTS", stats_.timeouts.load());
   put("SHED_CONNECTIONS", stats_.shed_connections.load());
-  put("IN_FLIGHT", in_flight_.load(std::memory_order_relaxed));
+  put("IN_FLIGHT", in_flight());
   put("PEAK_IN_FLIGHT", stats_.peak_in_flight.load());
   put("FULL_HANDSHAKES", stats_.full_handshakes.load());
   put("RESUMED_HANDSHAKES", stats_.resumed_handshakes.load());

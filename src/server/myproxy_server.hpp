@@ -7,10 +7,11 @@
 // restrictions, before the protocol command is dispatched to the
 // Repository. An `authorized_renewers` ACL gates the §6.6 renewal path.
 //
-// Threading: the Reactor's epoll loops own connection I/O up to the first
-// request, the /metrics scrape and the housekeeping timers; a bounded
-// ThreadPool runs authentication, the command core and the timers' blocking
-// work (the repository is a shared production service, §3.3). The same core
+// Threading: the TLS front end's epoll loops (tls/reactor.hpp) own
+// connection I/O up to the first request, the /metrics scrape and the
+// housekeeping timers; a bounded ThreadPool runs authentication, the command
+// core and the timers' blocking work (the repository is a shared production
+// service, §3.3). The same core
 // serves the native protocol and its §6.4 HTTP binding (http_binding.hpp),
 // chosen per connection from the first message.
 #pragma once
@@ -41,11 +42,10 @@
 #include "replication/replica_session.hpp"
 #include "replication/wire.hpp"
 #include "repository/repository.hpp"
+#include "tls/reactor.hpp"
 #include "tls/tls_channel.hpp"
 
 namespace myproxy::server {
-
-class Reactor;
 
 /// Connection I/O model: the epoll Reactor is the only front end. IoModel,
 /// io_model_from_string, to_string(IoModel) and ServerConfig::io_model
@@ -92,16 +92,16 @@ struct ServerConfig {
   /// Deadline for the TLS handshake on a freshly accepted connection. A
   /// client that completes TCP connect but never speaks TLS (slowloris) is
   /// closed after this long. Zero disables the deadline.
-  Millis handshake_timeout{10000};
+  Millis handshake_timeout = tls::kDefaultHandshakeTimeout;
 
   /// Per-read/per-write deadline while servicing a request. A client that
   /// stalls mid-message frees its worker after this long. Zero disables.
-  Millis request_timeout{30000};
+  Millis request_timeout = tls::kDefaultRequestTimeout;
 
   /// Maximum connections in flight (queued + being serviced). Further
   /// accepts are shed with a best-effort "server busy" response. Zero
   /// means unlimited.
-  std::size_t max_connections = 256;
+  std::size_t max_connections = tls::kDefaultMaxConnections;
 
   /// Key type for the server-side delegation key freshly generated on every
   /// PUT (the receiver half of Figure 1). Also the spec the key pool keeps
@@ -188,18 +188,14 @@ struct ServerConfig {
   std::filesystem::path config_file;
 };
 
-/// Operation counters for tests, benchmarks, and the audit story.
-struct ServerStats {
-  std::atomic<std::uint64_t> connections{0};
+/// Operation counters for tests, benchmarks, and the audit story; the
+/// connection counters are the front end's (tls::ReactorStats).
+struct ServerStats : tls::ReactorStats {
   std::atomic<std::uint64_t> puts{0};
   std::atomic<std::uint64_t> gets{0};
   std::atomic<std::uint64_t> renewals{0};
   std::atomic<std::uint64_t> auth_failures{0};
   std::atomic<std::uint64_t> authz_failures{0};
-  std::atomic<std::uint64_t> protocol_errors{0};
-  std::atomic<std::uint64_t> timeouts{0};          ///< connections reaped by deadline
-  std::atomic<std::uint64_t> shed_connections{0};  ///< refused at the cap
-  std::atomic<std::uint64_t> peak_in_flight{0};    ///< high-water admitted gauge
 
   // Hot-path instrumentation (keypair pool, TLS resumption).
   std::atomic<std::uint64_t> full_handshakes{0};     ///< fresh TLS handshakes
@@ -274,7 +270,7 @@ class MyProxyServer {
 
   /// In-flight connection gauge (reserved slots), for tests and benches.
   [[nodiscard]] std::size_t in_flight() const {
-    return in_flight_.load(std::memory_order_relaxed);
+    return reactor_ != nullptr ? reactor_->in_flight() : 0;
   }
 
   /// Delegation key pool (null when keygen_pool_size == 0); exposed for
@@ -322,8 +318,6 @@ class MyProxyServer {
   /// Copy of the current shard map (empty when clustering is off).
   [[nodiscard]] cluster::ClusterMap cluster_map() const;
 
-  [[nodiscard]] bool cluster_enabled() const;
-
   /// Prometheus text exposition of every ServerStats counter, the per-op
   /// latency histograms, and the admission counters. Public so tests can
   /// check STATS(10) consistency without a scrape.
@@ -341,20 +335,12 @@ class MyProxyServer {
   [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>>
   counter_snapshot() const;
 
-  /// Atomically reserve an in-flight connection slot: a single fetch_add
-  /// claims the slot, and an over-cap claim is rolled back with fetch_sub.
-  /// (A load-then-add pair would let a burst of accepts race past
-  /// max_connections.) Returns false when the cap refused the slot.
-  [[nodiscard]] bool reserve_connection_slot();
-  void release_connection_slot();
-
-  /// Reactor handoff target, run on a pool worker: the event loop has
-  /// already completed the TLS handshake and read `raw_request`; this picks
-  /// the codec (native or HTTP) from that first message, authenticates the
-  /// peer (chain verification is crypto-heavy and does not belong on an
-  /// event loop) and serves the pre-read request.
-  void serve_accepted(std::shared_ptr<tls::TlsChannel> channel,
-                      std::string raw_request);
+  /// The front end's serve callback, run on a pool worker: the event loop
+  /// has already completed the TLS handshake and read `raw_request`; this
+  /// picks the codec (native or HTTP) from that first message,
+  /// authenticates the peer (chain verification is crypto-heavy and does
+  /// not belong on an event loop) and serves the pre-read request.
+  void serve_accepted(tls::TlsChannel& channel, std::string_view raw_request);
 
   /// HTTP codec (§6.4): run the form through dispatch and answer with one
   /// HTTP response.
@@ -379,12 +365,6 @@ class MyProxyServer {
   /// AuthenticationError when neither yields a live identity.
   [[nodiscard]] pki::VerifiedIdentity authenticate_peer(
       tls::TlsChannel& channel);
-
-  /// Refuse a just-accepted `socket` before any TLS: one non-blocking
-  /// attempt to write `reply` as a plaintext frame, then close. Never
-  /// blocks the event loop.
-  void shed_connection(net::Socket socket, std::string_view reason,
-                       const protocol::Response& reply);
 
   /// The server-wide ACL a command's caller must be in, checked before
   /// the store is read. kRetrievers also checks the record's own retriever
@@ -486,8 +466,6 @@ class MyProxyServer {
   ServerConfig config_;
   tls::TlsContext tls_context_;
 
-  friend class Reactor;
-
   std::unique_ptr<crypto::KeyPairPool> key_pool_;
   std::unique_ptr<replication::ReplicaSession> replica_session_;
 
@@ -502,7 +480,7 @@ class MyProxyServer {
   std::shared_mutex fence_mutex_;
   std::atomic<bool> migration_in_flight_{false};
 
-  std::unique_ptr<Reactor> reactor_;
+  std::unique_ptr<tls::Reactor> reactor_;
   AdmissionController admission_;
   std::optional<net::TcpListener> listener_;
   std::optional<net::TcpListener> metrics_listener_;
@@ -510,7 +488,6 @@ class MyProxyServer {
   std::uint64_t seen_reload_generation_ = 0;  ///< loop 0 only
   std::atomic<bool> sweep_in_flight_{false};
   std::unique_ptr<ThreadPool> pool_;
-  std::atomic<std::size_t> in_flight_{0};
   std::atomic<bool> stopping_{false};
 
   ServerStats stats_;

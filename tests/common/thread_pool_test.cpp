@@ -42,21 +42,7 @@ TEST(ThreadPool, ZeroWorkersClampedToOne) {
   EXPECT_TRUE(ran.load());
 }
 
-TEST(ThreadPool, BoundedQueueAppliesBackpressure) {
-  std::atomic<int> counter{0};
-  ThreadPool pool(1, /*max_queue=*/2);
-  // Submit more tasks than the queue holds; submit() must block, not drop.
-  for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(pool.submit([&counter] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      ++counter;
-    }));
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 20);
-}
-
-TEST(ThreadPool, TrySubmitShedsInsteadOfBlockingWhenFull) {
+TEST(ThreadPool, SubmitShedsInsteadOfBlockingWhenFull) {
   std::atomic<bool> release{false};
   std::atomic<bool> started{false};
   std::atomic<int> ran{0};
@@ -71,11 +57,11 @@ TEST(ThreadPool, TrySubmitShedsInsteadOfBlockingWhenFull) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   // Worker is pinned; one slot in the queue.
-  EXPECT_TRUE(pool.try_submit([&ran] { ++ran; }));
+  EXPECT_TRUE(pool.submit([&ran] { ++ran; }));
   EXPECT_EQ(pool.pending(), 1u);
-  // Queue full: try_submit must return false immediately, not block.
+  // Queue full: submit must return false immediately, not block.
   const auto start = std::chrono::steady_clock::now();
-  EXPECT_FALSE(pool.try_submit([&ran] { ++ran; }));
+  EXPECT_FALSE(pool.submit([&ran] { ++ran; }));
   EXPECT_LT(std::chrono::steady_clock::now() - start,
             std::chrono::milliseconds(100));
   release = true;
@@ -83,54 +69,26 @@ TEST(ThreadPool, TrySubmitShedsInsteadOfBlockingWhenFull) {
   EXPECT_EQ(ran.load(), 1);
 }
 
-TEST(ThreadPool, SaturatedSubmitUnblocksOnShutdown) {
-  // A producer blocked on a full queue must be released (with a rejection)
-  // when the pool shuts down — destructor and submit must not deadlock.
-  std::atomic<bool> release{false};
-  std::atomic<bool> started{false};
-  std::atomic<int> rejected{0};
-  auto pool = std::make_unique<ThreadPool>(1, /*max_queue=*/1);
-  ASSERT_TRUE(pool->submit([&] {
-    started = true;
-    while (!release.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  }));
-  while (!started.load()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_TRUE(pool->submit([] {}));  // fills the queue
-  // Raw pointer: the producer must not read the unique_ptr storage while
-  // the destroyer thread rewrites it. The object itself stays alive until
-  // its destructor returns, which cannot happen before the worker is
-  // released below.
-  ThreadPool* raw = pool.get();
-  std::thread producer([&] {
-    if (!raw->submit([] {})) ++rejected;
-  });
-  // Give the producer time to park in submit()'s queue-space wait.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  // The destructor blocks joining the pinned worker, but its stopping_
-  // notification must still release the parked producer with a rejection.
-  std::thread destroyer([&] { pool.reset(); });
-  producer.join();  // must return promptly once shutdown begins
-  EXPECT_EQ(rejected.load(), 1);
-  release = true;  // now let the worker (and thus the destructor) finish
-  destroyer.join();
-}
-
 TEST(ThreadPool, BoundedQueueWithSlowTasksDrainsOnDestruction) {
+  // Offer more slow tasks than the workers and the queue hold: the
+  // surplus is refused, and every accepted task still runs before the
+  // destructor returns.
   std::atomic<int> counter{0};
+  int accepted = 0;
   {
     ThreadPool pool(2, /*max_queue=*/2);
     for (int i = 0; i < 12; ++i) {
-      ASSERT_TRUE(pool.submit([&counter] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        ++counter;
-      }));
+      if (pool.submit([&counter] {
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+            ++counter;
+          })) {
+        ++accepted;
+      }
     }
+    EXPECT_GE(accepted, 2);
+    EXPECT_LT(accepted, 12);
   }  // destructor drains the queue and joins without deadlock
-  EXPECT_EQ(counter.load(), 12);
+  EXPECT_EQ(counter.load(), accepted);
 }
 
 TEST(ThreadPool, WaitIdleOnEmptyPoolReturnsImmediately) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <future>
+#include <thread>
+
 #include "common/error.hpp"
 #include "gsi/gsi_fixtures.hpp"
 #include "gsi/proxy.hpp"
@@ -151,6 +155,17 @@ TEST_F(ResourceServiceTest, StaleJobsExpireAndCanBeRefreshed) {
   const auto mallory = make_user("res-mallory");
   EXPECT_FALSE(
       service_->refresh_job_credential(job_id, gsi::create_proxy(mallory)));
+}
+
+TEST_F(ResourceServiceTest, StopIsFastWithASilentClient) {
+  net::Socket silent = net::tcp_connect(service_->port());
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  auto stopped =
+      std::async(std::launch::async, [this] { service_->stop(); });
+  const auto ready = stopped.wait_for(std::chrono::milliseconds(250));
+  silent.close();
+  EXPECT_EQ(ready, std::future_status::ready);
 }
 
 }  // namespace

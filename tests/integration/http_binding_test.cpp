@@ -491,7 +491,7 @@ TEST(HttpBindingFence, OtpGetDuringCutoverIs503AndChainHolds) {
   auto fenced = commit_seen.get_future();
   ASSERT_EQ(fenced.wait_for(std::chrono::seconds(20)),
             std::future_status::ready);
-  const std::uint32_t remaining = repo->info("alice")->otp_remaining;
+  const std::uint32_t remaining = repo->record("alice")->otp->remaining;
   const std::string word =
       repository::otp_word(kOtpSeed, remaining - 1);
   const auto get_with_word = [&] {
@@ -504,7 +504,7 @@ TEST(HttpBindingFence, OtpGetDuringCutoverIs503AndChainHolds) {
   const auto refused = get_with_word();
   EXPECT_EQ(refused.status, 503) << refused.body;
   EXPECT_TRUE(refused.headers.contains("retry-after"));
-  EXPECT_EQ(repo->info("alice")->otp_remaining, remaining);
+  EXPECT_EQ(repo->record("alice")->otp->remaining, remaining);
   EXPECT_GE(server.stats().cluster_fenced_writes.load(), 1u);
 
   release.set_value();
@@ -513,7 +513,7 @@ TEST(HttpBindingFence, OtpGetDuringCutoverIs503AndChainHolds) {
   // Fence lifted: the very same word is still good, and now spends.
   const auto served = get_with_word();
   EXPECT_EQ(served.status, 200) << served.body;
-  EXPECT_EQ(repo->info("alice")->otp_remaining, remaining - 1);
+  EXPECT_EQ(repo->record("alice")->otp->remaining, remaining - 1);
   server.stop();
 }
 

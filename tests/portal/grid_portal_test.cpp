@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <future>
 #include <thread>
 
 #include "client/myproxy_client.hpp"
@@ -94,6 +95,36 @@ TEST_F(GridPortalTest, LoginPageServed) {
   const auto response = browser.get("/");
   EXPECT_EQ(response.status, 200);
   EXPECT_NE(response.body.find("Pass phrase"), std::string::npos);
+}
+
+// Two TCP clients that connect and never speak TLS must not keep a portal
+// with two workers from answering a browser: the handshake runs on the
+// front end's event loop, not on a worker.
+TEST_F(GridPortalTest, SilentConnectionsDoNotBlockBrowsers) {
+  net::Socket silent1 = net::tcp_connect(portal_->port());
+  net::Socket silent2 = net::tcp_connect(portal_->port());
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  auto answer = std::async(std::launch::async, [port = portal_->port()] {
+    Browser browser(port);
+    return browser.get("/").status;
+  });
+  const auto ready = answer.wait_for(std::chrono::seconds(1));
+  silent1.close();
+  silent2.close();
+  ASSERT_EQ(ready, std::future_status::ready);
+  EXPECT_EQ(answer.get(), 200);
+}
+
+TEST_F(GridPortalTest, StopIsFastWithASilentClient) {
+  net::Socket silent = net::tcp_connect(portal_->port());
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  auto stopped =
+      std::async(std::launch::async, [this] { portal_->stop(); });
+  const auto ready = stopped.wait_for(std::chrono::milliseconds(250));
+  silent.close();
+  EXPECT_EQ(ready, std::future_status::ready);
 }
 
 TEST_F(GridPortalTest, Figure3_FullWorkflow) {

@@ -188,13 +188,13 @@ TEST(Repository, InfoAndListExposeMetadataOnly) {
   repo.store("alice", kPhrase, alice.identity().str(), make_storable(alice),
              options);
 
-  const auto info = repo.info("alice", "compute");
-  ASSERT_TRUE(info.has_value());
-  EXPECT_EQ(info->owner_dn, alice.identity().str());
-  EXPECT_EQ(info->max_delegation_lifetime, Seconds(7200));
-  EXPECT_TRUE(info->always_limited);
-  EXPECT_EQ(info->restriction, "rights=job-submit");
-  EXPECT_FALSE(repo.info("alice", "missing").has_value());
+  const auto record = repo.record("alice", "compute");
+  ASSERT_TRUE(record.has_value());
+  EXPECT_EQ(record->owner_dn, alice.identity().str());
+  EXPECT_EQ(record->max_delegation_lifetime, Seconds(7200));
+  EXPECT_TRUE(record->always_limited);
+  EXPECT_EQ(record->restriction, "rights=job-submit");
+  EXPECT_FALSE(repo.record("alice", "missing").has_value());
   EXPECT_EQ(repo.list("alice").size(), 1u);
 }
 
@@ -207,7 +207,7 @@ TEST(Repository, MaxDelegationLifetimeClampedByServerPolicy) {
   options.max_delegation_lifetime = Seconds(86400);
   repo.store("alice", kPhrase, alice.identity().str(), make_storable(alice),
              options);
-  EXPECT_EQ(repo.info("alice")->max_delegation_lifetime, Seconds(1800));
+  EXPECT_EQ(repo.record("alice")->max_delegation_lifetime, Seconds(1800));
 }
 
 TEST(Repository, OtpStoreAndOpen) {
@@ -229,7 +229,7 @@ TEST(Repository, OtpStoreAndOpen) {
   EXPECT_THROW((void)repo.open("alice", w3, "", true), AuthenticationError);
   const std::string w2 = otp_word("otp seed phrase", 2);
   EXPECT_NO_THROW((void)repo.open("alice", w2, "", true));
-  EXPECT_EQ(repo.info("alice")->otp_remaining, 2u);
+  EXPECT_EQ(repo.record("alice")->otp->remaining, 2u);
 }
 
 TEST(Repository, RenewableCredentialOpensWithoutPassphrase) {
