@@ -16,8 +16,8 @@
 //   BM_Crypto_KeyImport         — stored private key PEM -> KeyPair
 //   BM_Crypto_CsrCreate         — delegation CSR for a fresh EC key
 //   BM_Crypto_CsrParse          — delegation CSR PEM -> verified request
-//   BM_Crypto_CertParse         — certificate PEM -> Certificate; d2i_X509
-//                                 still builds a decoder per call
+//   BM_Crypto_CertParse         — certificate PEM -> Certificate; the
+//                                 subject key stays undecoded until used
 //   BM_Crypto_UnsealKnownChain/<known> — stored proxy PEM -> Credential,
 //                                 without (0) and with (1) the presenter's
 //                                 verified chain to share certificates from
@@ -229,9 +229,11 @@ BENCHMARK(BM_Crypto_CsrParse)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_Crypto_CertParse(benchmark::State& state) {
-  // A certificate nobody holds yet: d2i_X509 decodes the subject key with
-  // a decoder that OpenSSL 3 builds on every call, under a process-wide
-  // lock. Receivers skip it for certificates they hold (UnsealKnownChain).
+  // A certificate nobody holds yet: names, validity and extensions are
+  // decoded and the encoding checked canonical, but the subject key is not
+  // (d2i_X509 would build a key decoder per call, under a process-wide
+  // lock). Receivers skip even this for certificates they hold
+  // (UnsealKnownChain).
   const auto& f = CodecFixture::get();
   for (auto _ : state) {
     benchmark::DoNotOptimize(pki::Certificate::from_pem(f.cert_pem));
@@ -245,10 +247,12 @@ BENCHMARK(BM_Crypto_CertParse)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_Crypto_UnsealKnownChain(benchmark::State& state) {
-  // Unseal's parse step for a §6.6 renewal: the stored proxy's PEM (two
-  // certificates and a key) -> Credential. With Arg 1 the renewer presented
-  // that same proxy, so both certificates are shared from its verified
-  // chain and only the key is decoded.
+  // Unseal's parse step: the stored proxy's PEM (two certificates and a
+  // key) -> Credential. Arg 0 is a portal GET, whose presented chain shares
+  // nothing with the stored one: both certificates are parsed, and the
+  // leaf's subject key is decoded for the key-match check. With Arg 1 a
+  // §6.6 renewer presented that same proxy, so both certificates are shared
+  // from its verified chain and only the private key is decoded.
   const auto& f = CodecFixture::get();
   const std::vector<pki::Certificate> none;
   const std::vector<pki::Certificate>& known =

@@ -24,6 +24,30 @@ void throw_openssl(std::string_view what) {
   throw CryptoError(fmt::format("{}: {}", what, drain_error_queue()));
 }
 
+bool verify_signed_bytes(std::string_view signed_der,
+                         const X509_ALGOR* algorithm,
+                         const ASN1_BIT_STRING* signature, EVP_PKEY* key) {
+  // An ANY of type SEQUENCE holds its whole encoding and writes it back
+  // verbatim, so ASN1_item_verify checks the bytes as they arrived, exactly
+  // as X509_verify does for a decoded certificate.
+  Asn1TypePtr signed_any(ASN1_TYPE_new());
+  ASN1_STRING* copy = ASN1_STRING_type_new(V_ASN1_SEQUENCE);
+  if (signed_any == nullptr || copy == nullptr ||
+      ASN1_STRING_set(copy, signed_der.data(),
+                      static_cast<int>(signed_der.size())) != 1) {
+    ASN1_STRING_free(copy);
+    throw_openssl("signed bytes copy");
+  }
+  ASN1_TYPE_set(signed_any.get(), V_ASN1_SEQUENCE, copy);
+  const int rc =
+      algorithm == nullptr || signature == nullptr
+          ? 0
+          : ASN1_item_verify(ASN1_ITEM_rptr(ASN1_ANY), algorithm, signature,
+                             signed_any.get(), key);
+  if (rc != 1) (void)drain_error_queue();
+  return rc == 1;
+}
+
 bool PemBlock::read(BIO* bio) {
   return PEM_read_bio(bio, &name, &header, &der, &len) == 1;
 }

@@ -116,6 +116,16 @@ T* check_ptr(T* p, std::string_view what) {
   return p;
 }
 
+/// True if `signature` under `algorithm` verifies `signed_der`, a DER
+/// element checked as the bytes it arrived as (a TBSCertificate or a
+/// CertificationRequestInfo). As X509_verify: the algorithm must match the
+/// key's type, and it picks the digest (none for Ed25519/Ed448) or the
+/// RSASSA-PSS parameters.
+[[nodiscard]] bool verify_signed_bytes(std::string_view signed_der,
+                                       const X509_ALGOR* algorithm,
+                                       const ASN1_BIT_STRING* signature,
+                                       EVP_PKEY* key);
+
 /// Create a read-only memory BIO over `data`.
 [[nodiscard]] BioPtr memory_bio(std::string_view data);
 

@@ -196,27 +196,8 @@ bool CertificateRequest::verify() const {
   p = bytes(e.signature);
   crypto::Asn1BitStringPtr signature(d2i_ASN1_BIT_STRING(
       nullptr, &p, static_cast<long>(e.signature.size())));
-  // An ANY of type SEQUENCE holds its whole encoding and writes it back
-  // verbatim, so ASN1_item_verify checks the CertificationRequestInfo bytes
-  // as they arrived, exactly as X509_REQ_verify does for a decoded request:
-  // the algorithm must match the key's type, and it picks the digest (none
-  // for Ed25519/Ed448) or the RSASSA-PSS parameters.
-  crypto::Asn1TypePtr info(ASN1_TYPE_new());
-  ASN1_STRING* info_bytes = ASN1_STRING_type_new(V_ASN1_SEQUENCE);
-  if (info == nullptr || info_bytes == nullptr ||
-      ASN1_STRING_set(info_bytes, e.info.data(),
-                      static_cast<int>(e.info.size())) != 1) {
-    ASN1_STRING_free(info_bytes);
-    crypto::throw_openssl("CertificationRequestInfo copy");
-  }
-  ASN1_TYPE_set(info.get(), V_ASN1_SEQUENCE, info_bytes);
-  const int rc =
-      algorithm == nullptr || signature == nullptr
-          ? 0
-          : ASN1_item_verify(ASN1_ITEM_rptr(ASN1_ANY), algorithm.get(),
-                             signature.get(), info.get(), key_.native());
-  if (rc != 1) (void)crypto::drain_error_queue();
-  return rc == 1;
+  return crypto::verify_signed_bytes(e.info, algorithm.get(), signature.get(),
+                                     key_.native());
 }
 
 std::string_view CertificateRequest::spki_der() const {

@@ -5,6 +5,7 @@
 // shared by mistake, or a decoded key left behind in one, shows up as a
 // wrong key or a failed verification (and as a race under TSan).
 #include <gtest/gtest.h>
+#include <openssl/x509.h>
 
 #include <algorithm>
 #include <atomic>
@@ -197,6 +198,53 @@ TEST(CodecConcurrency, PublicKeyDecodesRecoverFromFailedOnes) {
   EXPECT_EQ(failures.load(), 0);
   // Every unknown-algorithm request is refused at its key decode.
   EXPECT_GE(refused.load(), kCsrThreads * 4 * kRounds);
+}
+
+TEST(CodecConcurrency, LazyKeyAndX509BuiltOnce) {
+  // A certificate read from PEM decodes its key and builds its X509 on
+  // first use. Four threads race to that first use on one shared
+  // certificate (as on a trust root): each must see the one key and the one
+  // X509, and the signature must verify on every thread.
+  const Credential alice = make_user("codec-lazy-alice");
+  const auto chain = pki::Certificate::chain_from_pem(
+      alice.certificate_chain_pem());
+  ASSERT_EQ(chain.size(), 1U);
+  const pki::Certificate& shared = chain.front();
+  const pki::Certificate issuer =
+      pki::Certificate::from_pem(testing::test_ca().certificate().to_pem());
+
+  constexpr int kLazyThreads = 4;
+  std::vector<EVP_PKEY*> keys(kLazyThreads, nullptr);
+  std::vector<X509*> x509s(kLazyThreads, nullptr);
+  std::atomic<int> ready{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kLazyThreads);
+  for (int t = 0; t < kLazyThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ++ready;
+      while (ready.load() < kLazyThreads) {
+      }
+      try {
+        // Half the threads take the X509 first, half the key.
+        if (t % 2 == 0) x509s[t] = shared.native();
+        keys[t] = shared.public_key().native();
+        if (!shared.signed_by(issuer)) ++failures;
+        x509s[t] = shared.native();
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "thread " << t << ": " << e.what();
+        ++failures;
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(failures.load(), 0);
+  for (int t = 0; t < kLazyThreads; ++t) {
+    EXPECT_EQ(keys[t], keys[0]);
+    EXPECT_EQ(x509s[t], x509s[0]);
+  }
+  EXPECT_TRUE(shared.public_key().same_public_key(alice.key()));
+  EXPECT_EQ(X509_cmp(x509s[0], alice.certificate().native()), 0);
 }
 
 }  // namespace

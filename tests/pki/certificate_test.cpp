@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
+#include <utility>
+#include <optional>
 
 #include "common/error.hpp"
 #include "common/mutation.hpp"
@@ -74,6 +77,77 @@ TEST(Certificate, SignedByDetectsIssuer) {
   const auto other_ca = CertificateAuthority::create(
       DistinguishedName::parse("/O=Other/CN=Other CA"), crypto::KeySpec::ec());
   EXPECT_FALSE(alice.cert.signed_by(other_ca.certificate()));
+}
+
+/// A DER element: `tag`, a definite length, `content`.
+std::string der_element(unsigned char tag, std::string_view content) {
+  std::string out(1, static_cast<char>(tag));
+  const std::size_t n = content.size();
+  if (n < 0x80) {
+    out += static_cast<char>(n);
+  } else if (n < 0x100) {
+    out += '\x81';
+    out += static_cast<char>(n);
+  } else {
+    out += '\x82';
+    out += static_cast<char>(n >> 8);
+    out += static_cast<char>(n & 0xFF);
+  }
+  out += content;
+  return out;
+}
+
+/// Sizes of the header and of the whole DER element at the front of `in`.
+std::pair<std::size_t, std::size_t> element_size(std::string_view in) {
+  const auto octet = [in](std::size_t i) {
+    return static_cast<std::size_t>(static_cast<unsigned char>(in[i]));
+  };
+  if (octet(1) < 0x80) return {2, 2 + octet(1)};
+  const std::size_t octets = octet(1) & 0x7F;
+  std::size_t length = 0;
+  for (std::size_t i = 0; i < octets; ++i) length = (length << 8) | octet(2 + i);
+  return {2 + octets, 2 + octets + length};
+}
+
+/// `cert` with its TBSCertificate passed through `edit` and signed again
+/// by `key` (ECDSA with SHA-256), keeping the outer signatureAlgorithm.
+Certificate resigned(const Certificate& cert, const crypto::KeyPair& key,
+                     const std::function<void(std::string&)>& edit) {
+  const std::string der = cert.der();
+  std::string_view body = der;
+  body.remove_prefix(element_size(body).first);
+  std::string tbs(body.substr(0, element_size(body).second));
+  body.remove_prefix(tbs.size());
+  const std::string_view algorithm = body.substr(0, element_size(body).second);
+  edit(tbs);
+  const auto signature = crypto::sign(key, tbs);
+  const std::string bits =
+      std::string(1, '\0') + std::string(signature.begin(), signature.end());
+  return Certificate::from_pem(mutation::pem_wrap(
+      "CERTIFICATE",
+      encoding::to_bytes(der_element(
+          0x30, tbs + std::string(algorithm) + der_element(0x03, bits)))));
+}
+
+TEST(Certificate, SignedByRefusesMismatchedInnerAlgorithm) {
+  // X509_verify refuses a certificate whose TBSCertificate names another
+  // signature algorithm than the one its signature is checked under, even
+  // when the signature over those bytes is good.
+  const auto alice = make_identity("inner-alg-alice");
+  const auto proxy_key = crypto::KeyPair::generate(crypto::KeySpec::ec());
+  const Certificate proxy = make_proxy_cert(alice, proxy_key);
+  const std::string ecdsa_sha256(
+      "\x06\x08\x2a\x86\x48\xce\x3d\x04\x03\x02", 10);
+  const Certificate same = resigned(proxy, alice.key, [](std::string&) {});
+  EXPECT_TRUE(same.signed_by(alice.cert));
+  const Certificate edited =
+      resigned(proxy, alice.key, [&ecdsa_sha256](std::string& tbs) {
+        const std::size_t at = tbs.find(ecdsa_sha256);
+        ASSERT_NE(at, std::string::npos);
+        tbs[at + ecdsa_sha256.size() - 1] = '\x03';  // ecdsa-with-SHA384
+      });
+  EXPECT_NE(edited.der(), same.der());
+  EXPECT_FALSE(edited.signed_by(alice.cert));
 }
 
 TEST(Certificate, PublicKeyMatchesSubjectKey) {
@@ -311,6 +385,37 @@ TEST(ChainFromPem, TrailingBytesInsideABlockThrow) {
                ParseError);
 }
 
+TEST(ChainFromPem, BerInsideTheTbsCertificateThrows) {
+  // d2i_X509 keeps the TBSCertificate's bytes as they arrived and writes
+  // them back unchanged, so BER there used to pass the canonical check.
+  // The reader re-encodes the whole certificate, so it is refused too.
+  const auto a = make_identity("cfp-ber-tbs");
+  const std::string der = a.cert.der();
+  std::string_view body = der;
+  body.remove_prefix(element_size(body).first);
+  const std::string_view tbs = body.substr(0, element_size(body).second);
+  std::string fields(tbs.substr(element_size(tbs).first));
+  const std::size_t serial = element_size(fields).second;  // after version
+  ASSERT_EQ(fields[serial], '\x02');
+  fields.insert(serial + 1, 1, '\x81');  // a long-form length below 128
+  const std::string ber = der_element(
+      0x30, der_element(0x30, fields) + std::string(body.substr(tbs.size())));
+
+  const auto* in = reinterpret_cast<const unsigned char*>(ber.data());
+  const crypto::X509Ptr x(
+      d2i_X509(nullptr, &in, static_cast<long>(ber.size())));
+  ASSERT_NE(x, nullptr);
+  unsigned char* out = nullptr;
+  const int len = i2d_X509(x.get(), &out);
+  EXPECT_EQ(std::string(reinterpret_cast<char*>(out),
+                        static_cast<std::size_t>(len)),
+            ber);
+  OPENSSL_free(out);
+  EXPECT_THROW((void)Certificate::chain_from_pem(mutation::pem_wrap(
+                   "CERTIFICATE", encoding::to_bytes(ber))),
+               ParseError);
+}
+
 TEST(ChainFromPem, KnownChainSurvivesMutations) {
   // Half the cases mutate one certificate's DER under intact armour, half
   // the credential PEM's text. Whatever parses must be exactly its blocks,
@@ -365,6 +470,106 @@ TEST(ChainFromPem, KnownChainSurvivesMutations) {
   }
   EXPECT_EQ(parsed + refused, 1000);
   EXPECT_GT(parsed, 0);
+  EXPECT_GT(refused, 500);
+}
+
+/// What `read` returns, or "threw" if it throws a ParseError or
+/// CryptoError; anything else escapes and fails the test.
+std::string outcome(const std::function<std::string()>& read) {
+  try {
+    return read();
+  } catch (const ParseError&) {
+    return "threw";
+  } catch (const CryptoError&) {
+    return "threw";
+  }
+}
+
+/// Every view of `cert`, each as text.
+std::vector<std::string> views(const Certificate& cert) {
+  return {
+      outcome([&] { return cert.subject().str(); }),
+      outcome([&] { return cert.issuer().str(); }),
+      outcome([&] { return std::to_string(to_unix(cert.not_before())); }),
+      outcome([&] { return std::to_string(to_unix(cert.not_after())); }),
+      outcome([&] { return cert.serial_hex(); }),
+      outcome([&] { return std::string(to_string(cert.proxy_type())); }),
+      outcome([&] { return cert.restriction_policy().value_or("(none)"); }),
+      outcome([&] { return std::string(cert.is_ca() ? "ca" : "not ca"); }),
+  };
+}
+
+TEST(ChainFromPem, ParsesOnlyWhatX509Accepts) {
+  // The reader decodes certificates without their subject key. Over
+  // mutations of a proxy credential, whatever it accepts d2i_X509 accepts
+  // with the same bytes, every view reads as from the X509, and the key and
+  // signature either agree with OpenSSL's or are refused.
+  const auto alice = make_identity("cfp-x509-alice");
+  const auto proxy_key = crypto::KeyPair::generate(crypto::KeySpec::ec());
+  const Certificate proxy =
+      make_proxy_cert(alice, proxy_key, kProxyCn, Seconds(3600),
+                      RestrictionPolicy::parse("rights=file-read"));
+  const std::string key_pem = proxy_key.private_pem().str();
+  const auto proxy_der = mutation::pem_body(proxy.to_pem());
+  const auto eec_der = mutation::pem_body(alice.cert.to_pem());
+
+  int parsed = 0;
+  int refused = 0;
+  for (std::uint32_t i = 0; i < 1000; ++i) {
+    const bool leaf = (i % 2) == 0;
+    const std::string mutated = mutation::pem_wrap(
+        "CERTIFICATE", mutation::mutate(leaf ? proxy_der : eec_der,
+                                        leaf ? eec_der : proxy_der, i));
+    const std::string input =
+        leaf ? mutated + key_pem + alice.cert.to_pem()
+             : proxy.to_pem() + key_pem + mutated;
+    std::vector<Certificate> chain;
+    try {
+      chain = Certificate::chain_from_pem(input);
+    } catch (const ParseError&) {
+      ++refused;
+      continue;
+    }
+    ++parsed;
+    ASSERT_EQ(chain.size(), 2U) << "case " << i;
+    chain.push_back(test_ca().certificate());
+    std::vector<Certificate> oracle;
+    for (const auto& cert : chain) {
+      const std::string& der = cert.der();
+      const auto* p = reinterpret_cast<const unsigned char*>(der.data());
+      X509* x = d2i_X509(nullptr, &p, static_cast<long>(der.size()));
+      ASSERT_NE(x, nullptr) << "case " << i << ": d2i_X509 refuses";
+      ASSERT_EQ(p, reinterpret_cast<const unsigned char*>(der.data()) +
+                       der.size())
+          << "case " << i;
+      oracle.push_back(Certificate::adopt(x));
+      EXPECT_EQ(oracle.back().der(), der) << "case " << i;
+      EXPECT_EQ(views(cert), views(oracle.back())) << "case " << i;
+    }
+    for (std::size_t j = 0; j < 2; ++j) {
+      EVP_PKEY* x509_key = X509_get0_pubkey(oracle[j].native());
+      (void)crypto::drain_error_queue();
+      try {
+        const crypto::KeyPair key = chain[j].public_key();
+        ASSERT_NE(x509_key, nullptr) << "case " << i << " cert " << j;
+        EXPECT_EQ(EVP_PKEY_eq(key.native(), x509_key), 1)
+            << "case " << i << " cert " << j;
+      } catch (const CryptoError&) {
+      }
+      EVP_PKEY* issuer_key = X509_get0_pubkey(oracle[j + 1].native());
+      const bool x509_verifies =
+          issuer_key != nullptr &&
+          X509_verify(oracle[j].native(), issuer_key) == 1;
+      (void)crypto::drain_error_queue();
+      try {
+        EXPECT_EQ(chain[j].signed_by(chain[j + 1]), x509_verifies)
+            << "case " << i << " cert " << j;
+      } catch (const CryptoError&) {
+      }
+    }
+  }
+  EXPECT_EQ(parsed + refused, 1000);
+  EXPECT_GT(parsed, 50);
   EXPECT_GT(refused, 500);
 }
 

@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include "common/error.hpp"
+#include "common/mutation.hpp"
 #include "common/strings.hpp"
 
 namespace myproxy::repository {
@@ -79,6 +80,74 @@ TEST(CredentialRecord, ParseRejectsMalformed) {
   std::string text = record.serialize();
   text += "otp_current deadbeef\n";
   EXPECT_THROW(CredentialRecord::parse(text), ParseError);
+}
+
+TEST(CredentialRecord, ParseSurvivesMutations) {
+  // Records are read back from disk and from replication snapshots. A
+  // corrupt one must be refused with a ParseError, and one that is accepted
+  // must serialize and parse back to the same record.
+  CredentialRecord record = make_record("alice", "compute");
+  record.retriever_patterns = {"/O=Grid/CN=portal-*"};
+  record.renewer_patterns = {"/O=Grid/CN=condor"};
+  record.always_limited = true;
+  record.restriction = "rights=job-submit";
+  record.task_tags = "compute,transfer";
+  record.otp = OtpState{"abcd", 7};
+  record.passphrase_digest = "beef";
+  CredentialRecord donor = make_record("bob");
+  donor.sealing = Sealing::kMasterKey;
+  donor.blob = std::vector<std::uint8_t>(48, 0x5A);
+  const auto input = encoding::to_bytes(record.serialize());
+  const auto donor_bytes = encoding::to_bytes(donor.serialize());
+  int accepted = 0;
+  int refused = 0;
+  for (std::uint32_t i = 0; i < 1000; ++i) {
+    const std::string text =
+        encoding::to_string(mutation::mutate(input, donor_bytes, i));
+    CredentialRecord parsed;
+    try {
+      parsed = CredentialRecord::parse(text);
+    } catch (const ParseError&) {
+      ++refused;
+      continue;
+    }
+    ++accepted;
+    std::string again;
+    try {
+      again = parsed.serialize();
+    } catch (const ParseError&) {
+      ADD_FAILURE() << "case " << i << ": accepted record does not serialize";
+      continue;
+    }
+    const CredentialRecord back = CredentialRecord::parse(again);
+    EXPECT_EQ(back.serialize(), again) << "case " << i;
+    EXPECT_EQ(back.username, parsed.username) << "case " << i;
+    EXPECT_EQ(back.name, parsed.name) << "case " << i;
+    EXPECT_EQ(back.owner_dn, parsed.owner_dn) << "case " << i;
+    EXPECT_EQ(back.blob, parsed.blob) << "case " << i;
+    EXPECT_EQ(back.sealing, parsed.sealing) << "case " << i;
+    EXPECT_EQ(back.passphrase_digest, parsed.passphrase_digest)
+        << "case " << i;
+    EXPECT_EQ(back.created_at, parsed.created_at) << "case " << i;
+    EXPECT_EQ(back.not_after, parsed.not_after) << "case " << i;
+    EXPECT_EQ(back.max_delegation_lifetime, parsed.max_delegation_lifetime)
+        << "case " << i;
+    EXPECT_EQ(back.retriever_patterns, parsed.retriever_patterns)
+        << "case " << i;
+    EXPECT_EQ(back.renewer_patterns, parsed.renewer_patterns) << "case " << i;
+    EXPECT_EQ(back.always_limited, parsed.always_limited) << "case " << i;
+    EXPECT_EQ(back.restriction, parsed.restriction) << "case " << i;
+    EXPECT_EQ(back.task_tags, parsed.task_tags) << "case " << i;
+    EXPECT_EQ(back.otp.has_value(), parsed.otp.has_value()) << "case " << i;
+    if (back.otp.has_value() && parsed.otp.has_value()) {
+      EXPECT_EQ(back.otp->current_hex, parsed.otp->current_hex)
+          << "case " << i;
+      EXPECT_EQ(back.otp->remaining, parsed.otp->remaining) << "case " << i;
+    }
+  }
+  EXPECT_EQ(accepted + refused, 1000);
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(refused, 0);
 }
 
 TEST(CredentialRecord, ParseRejectsJunkNumericFields) {
