@@ -16,6 +16,11 @@ namespace {
 
 constexpr std::string_view kLogComponent = "client";
 
+/// Backoff growth per retry, and the jitter that scales each sleep by a
+/// random factor in [1 - kBackoffJitter, 1 + kBackoffJitter].
+constexpr double kBackoffMultiplier = 2.0;
+constexpr double kBackoffJitter = 0.2;
+
 using protocol::AuthMode;
 using protocol::Command;
 using protocol::Request;
@@ -60,8 +65,8 @@ MyProxyClient::MyProxyClient(gsi::Credential credential,
 
 std::vector<std::uint16_t> MyProxyClient::candidates(
     bool write, std::string_view username) const {
-  if (cluster_routing_ && cluster_map_.has_value() &&
-      !cluster_map_->empty() && !username.empty()) {
+  if (cluster_map_.has_value() && !cluster_map_->empty() &&
+      !username.empty()) {
     const cluster::ShardNode& owner = cluster_map_->owner(username);
     if (write) return {owner.primary};
     std::vector<std::uint16_t> order = owner.replicas;
@@ -81,57 +86,109 @@ auto MyProxyClient::run_op(const Request& request, Step&& step)
                      std::declval<const Response&>())) {
   const bool write = protocol::writes_store(request);
   const std::string& username = request.username;
-  const auto attempt = [&](std::uint16_t port) {
-    auto channel = connect(port);
-    const Response response = transact(*channel, request);
-    auto result = step(*channel, response);
-    cache_session(port, *channel);
-    return result;
-  };
-  const int hop_budget = std::max(0, retry_policy_.max_redirect_hops);
+  const int max_attempts = std::max(1, retry_policy_.max_attempts);
+  std::map<std::uint16_t, int> attempts;  // connections per endpoint
+  std::vector<std::uint16_t> order = candidates(write, username);
+  std::size_t at = 0;  // the endpoint in `order` this pass tries
   int hops = 0;
-  // A redirect names one definite destination; it overrides the computed
-  // candidate order for the next pass.
-  std::optional<std::uint16_t> forced;
+  const auto count_hop = [&](std::string_view chasing, const Error& e) {
+    if (++hops > kMaxRedirectHops) {
+      throw RedirectLoop(fmt::format("redirect budget ({}) exhausted chasing "
+                                     "{}: {}",
+                                     kMaxRedirectHops, chasing, e.what()));
+    }
+  };
   for (;;) {
-    const std::vector<std::uint16_t> order =
-        forced.has_value() ? std::vector<std::uint16_t>{*forced}
-                           : candidates(write, username);
-    forced.reset();
-    try {
-      for (std::size_t i = 0; i < order.size(); ++i) {
-        const bool last = i + 1 == order.size();
-        try {
-          return run_with_busy_retry(attempt, order[i]);
-        } catch (const ReplicaRedirect& e) {
-          // A write landed on a replica: handled by the outer hop loop,
-          // which follows the named primary. A read landed on a server
-          // that insists on the primary (e.g. an OTP retrieval): fall
-          // through to the next endpoint — the primary is always last in
-          // a read order.
-          if (write || last) throw;
-          log::warn(kLogComponent,
-                    "endpoint {} redirected ({}); failing over", order[i],
-                    e.what());
-        } catch (const IoError& e) {
-          // The endpoint is unreachable even after connect()'s own
-          // retries, or died mid-operation. Reads are side-effect free, so
-          // re-running the whole operation elsewhere is safe.
-          if (last) throw;
-          log::warn(kLogComponent, "endpoint {} failed ({}); failing over",
-                    order[i], e.what());
-        }
+    const std::uint16_t port = order[at];
+    const bool last = at + 1 == order.size();
+    if (attempts[port] == max_attempts) {
+      // A redirect led back to an endpoint whose connections are spent.
+      if (last) {
+        throw RedirectLoop(fmt::format(
+            "redirected back to port {} after {} attempt(s)", port,
+            max_attempts));
       }
-      throw IoError("no repository endpoint configured");  // unreachable
+      ++at;
+      continue;
+    }
+    const int attempt = ++attempts[port];
+    bool sent = false;
+    try {
+      auto channel = connect_once(port);
+      sent = true;
+      const Response response = transact(*channel, request);
+      auto result = step(*channel, response);
+      cache_session(port, *channel);
+      return result;
+    } catch (const ServerBusy& e) {
+      // An admission shed (or a migration fence on PUT/STORE's second
+      // response) refuses before the store changes, so running the whole
+      // operation again cannot replay a command — even a write. Respect
+      // the server's pacing hint but never sleep less than our own
+      // (jittered) backoff, so shed clients do not stampede back.
+      if (attempt == max_attempts) throw;
+      const Millis delay =
+          std::max(backoff_for_attempt(attempt), e.retry_after());
+      log::warn(kLogComponent,
+                "repository on port {} is busy (attempt {}/{}); retrying "
+                "in {} ms",
+                port, attempt, max_attempts, delay.count());
+      std::this_thread::sleep_for(delay);
+    } catch (const IoError& e) {
+      if (!sent) {
+        // Connection refused, deadline expired or handshake torn down:
+        // the server has seen no request. A stale cached session must not
+        // wedge every retry, so the next attempt does a full handshake.
+        cached_sessions_.erase(port);
+        if (attempt < max_attempts) {
+          const Millis delay = backoff_for_attempt(attempt);
+          log::warn(kLogComponent,
+                    "connection attempt {}/{} to port {} failed ({}); "
+                    "retrying in {} ms",
+                    attempt, max_attempts, port, e.what(), delay.count());
+          std::this_thread::sleep_for(delay);
+          continue;
+        }
+        const IoError unreachable(fmt::format(
+            "could not reach repository on port {} after {} attempt(s): {}",
+            port, attempt, e.what()));
+        if (last) throw unreachable;
+        log::warn(kLogComponent, "{}; failing over", unreachable.what());
+      } else {
+        // The endpoint died mid-operation. Reads are side-effect free, so
+        // re-running one elsewhere is safe; a write may have landed.
+        if (write || last) throw;
+        log::warn(kLogComponent, "endpoint {} failed ({}); failing over",
+                  port, e.what());
+      }
+      ++at;
+    } catch (const ReplicaRedirect& e) {
+      if (!write) {
+        // A read landed on a server that insists on the primary (e.g. an
+        // OTP retrieval): the primary is always last in a read order.
+        if (last) throw;
+        log::warn(kLogComponent,
+                  "endpoint {} redirected ({}); failing over", port,
+                  e.what());
+        ++at;
+        continue;
+      }
+      // A write landed on a replica (the configured "primary" endpoint was
+      // demoted, or the list simply starts with a replica). The refusal
+      // names the real primary — follow it rather than hard-failing on
+      // information we were just handed.
+      if (e.primary_port() == 0) throw;
+      count_hop("the primary", e);
+      log::warn(kLogComponent,
+                "endpoint is a replica; following redirect to primary {}",
+                e.primary_port());
+      order = {e.primary_port()};
+      at = 0;
     } catch (const WrongShardRedirect& e) {
       // Our map is stale (or absent): the server named the shard's owner
       // and its epoch. Refresh the map and re-route; servers chasing a
       // live migration can hand us around, so the hop budget bounds it.
-      if (++hops > hop_budget) {
-        throw RedirectLoop(fmt::format(
-            "redirect budget ({}) exhausted chasing shard ownership: {}",
-            hop_budget, e.what()));
-      }
+      count_hop("shard ownership", e);
       ++wrong_shard_redirects_;
       log::warn(kLogComponent,
                 "wrong shard for '{}' (owner primary {}, epoch {}); "
@@ -139,53 +196,14 @@ auto MyProxyClient::run_op(const Request& request, Step&& step)
                 username, e.primary_hint(), e.epoch());
       try {
         (void)fetch_cluster_map_from(e.primary_hint());
+        order = candidates(write, username);
       } catch (const std::exception&) {
         // Could not refresh a map from anyone; the redirect's direct hint
         // is still actionable on its own.
         if (e.primary_hint() == 0) throw;
-        forced = e.primary_hint();
+        order = {e.primary_hint()};
       }
-    } catch (const ReplicaRedirect& e) {
-      // A write landed on a replica (the configured "primary" endpoint was
-      // demoted, or the list simply starts with a replica). The refusal
-      // names the real primary — follow it rather than hard-failing on
-      // information we were just handed, within the shared hop budget.
-      if (!write) throw;
-      const std::uint16_t hint = e.primary_port();
-      if (hint == 0) throw;
-      if (++hops > hop_budget) {
-        throw RedirectLoop(fmt::format(
-            "redirect budget ({}) exhausted chasing the primary: {}",
-            hop_budget, e.what()));
-      }
-      log::warn(kLogComponent,
-                "endpoint is a replica; following redirect to primary {}",
-                hint);
-      forced = hint;
-    }
-  }
-}
-
-template <typename Fn>
-auto MyProxyClient::run_with_busy_retry(Fn&& fn, std::uint16_t port)
-    -> decltype(fn(std::uint16_t{})) {
-  const int attempts = std::max(1, retry_policy_.max_attempts);
-  for (int attempt = 1;; ++attempt) {
-    try {
-      return fn(port);
-    } catch (const ServerBusy& e) {
-      if (attempt >= attempts) throw;
-      // An admission shed happens before the command runs, so retrying the
-      // whole operation cannot replay a half-finished command — even for
-      // writes. Respect the server's pacing hint but never sleep less than
-      // our own (jittered) backoff, so shed clients do not stampede back.
-      const Millis delay =
-          std::max(backoff_for_attempt(attempt), e.retry_after());
-      log::warn(kLogComponent,
-                "repository on port {} is busy (attempt {}/{}); retrying "
-                "in {} ms",
-                port, attempt, attempts, delay.count());
-      std::this_thread::sleep_for(delay);
+      at = 0;
     }
   }
 }
@@ -226,43 +244,13 @@ std::unique_ptr<tls::TlsChannel> MyProxyClient::connect_once(
 
 Millis MyProxyClient::backoff_for_attempt(int attempt) {
   double delay = static_cast<double>(retry_policy_.initial_backoff.count());
-  for (int i = 1; i < attempt; ++i) delay *= retry_policy_.backoff_multiplier;
+  for (int i = 1; i < attempt; ++i) delay *= kBackoffMultiplier;
   delay = std::min(delay,
                    static_cast<double>(retry_policy_.max_backoff.count()));
-  if (retry_policy_.jitter > 0.0) {
-    std::uniform_real_distribution<double> scale(
-        1.0 - retry_policy_.jitter, 1.0 + retry_policy_.jitter);
-    delay *= scale(jitter_rng_);
-  }
+  std::uniform_real_distribution<double> scale(1.0 - kBackoffJitter,
+                                               1.0 + kBackoffJitter);
+  delay *= scale(jitter_rng_);
   return Millis(std::max<std::int64_t>(0, std::llround(delay)));
-}
-
-std::unique_ptr<tls::TlsChannel> MyProxyClient::connect(std::uint16_t port) {
-  const int attempts = std::max(1, retry_policy_.max_attempts);
-  std::string last_error;
-  for (int attempt = 1; attempt <= attempts; ++attempt) {
-    try {
-      return connect_once(port);
-    } catch (const IoError& e) {
-      // Transient transport failure (connection refused, deadline expired,
-      // handshake torn down). Verification/authentication failures are NOT
-      // IoError and propagate immediately — retrying cannot fix a server
-      // that fails mutual authentication.
-      last_error = e.what();
-      // A stale cached session must not wedge every retry: fall back to a
-      // full handshake on the next attempt.
-      cached_sessions_.erase(port);
-      if (attempt == attempts) break;
-      const Millis delay = backoff_for_attempt(attempt);
-      log::warn(kLogComponent,
-                "connection attempt {}/{} failed ({}); retrying in {} ms",
-                attempt, attempts, last_error, delay.count());
-      std::this_thread::sleep_for(delay);
-    }
-  }
-  throw IoError(fmt::format(
-      "could not reach repository on port {} after {} attempt(s): {}", port,
-      attempts, last_error));
 }
 
 void MyProxyClient::cache_session(std::uint16_t port,
@@ -383,7 +371,7 @@ cluster::ClusterMap MyProxyClient::fetch_cluster_map_from(
   std::string last_error = "no endpoints configured";
   for (const std::uint16_t port : order) {
     try {
-      auto channel = connect(port);
+      auto channel = connect_once(port);
       Request request;
       request.command = Command::kClusterMap;
       (void)transact(*channel, request);
@@ -398,7 +386,6 @@ cluster::ClusterMap MyProxyClient::fetch_cluster_map_from(
           map.epoch() >= cluster_map_->epoch()) {
         cluster_map_ = std::move(map);
       }
-      cluster_routing_ = true;
       ++map_refreshes_;
       return *cluster_map_;
     } catch (const Error& e) {
@@ -421,7 +408,7 @@ std::map<std::string, std::string> MyProxyClient::cluster_migrate(
       shard < cluster_map_->shard_count()) {
     owner = cluster_map_->node(shard).primary;
   }
-  auto channel = connect(owner);
+  auto channel = connect_once(owner);
   Request request;
   request.command = Command::kMigrate;
   request.shard = shard;

@@ -62,22 +62,27 @@ struct GetOptions {
   crypto::KeySpec key_spec = crypto::KeySpec::ec();
 };
 
+/// Redirect hop budget shared by replica (PRIMARY) and cluster
+/// (WRONG_SHARD) redirects within one operation. Each hop acts on
+/// information a server just handed us, but a cycle of servers pointing at
+/// each other must terminate: past the budget the operation fails with
+/// RedirectLoop.
+inline constexpr int kMaxRedirectHops = 3;
+
 /// Connection robustness policy: deadlines for one attempt plus retry with
-/// exponential backoff and jitter across attempts. Only the connect/
-/// handshake phase is retried — no request bytes have been sent yet, so a
-/// retry can never replay a half-finished command.
+/// exponential backoff and jitter across attempts. run_op retries an
+/// endpoint only when the server cannot have run the command: the
+/// connection failed before the request was sent, or the server refused
+/// it busy before dispatching it.
 struct RetryPolicy {
-  /// Total connection attempts (1 = no retry).
+  /// Connections to each endpoint in one operation (1 = no retry).
   int max_attempts = 3;
 
-  /// Backoff before the second attempt; doubles each retry (capped below).
+  /// Backoff before the second attempt; doubles each retry, capped at
+  /// max_backoff, and each sleep is scaled by a random factor in [0.8, 1.2]
+  /// so synchronized clients do not stampede.
   Millis initial_backoff{100};
   Millis max_backoff{2000};
-  double backoff_multiplier = 2.0;
-
-  /// Multiplicative jitter: each sleep is scaled by a random factor in
-  /// [1 - jitter, 1 + jitter] so synchronized clients do not stampede.
-  double jitter = 0.2;
 
   /// Deadline for the TCP three-way handshake of one attempt (0 = none).
   Millis connect_timeout{10000};
@@ -85,13 +90,6 @@ struct RetryPolicy {
   /// Per-read/per-write deadline for the TLS handshake and all subsequent
   /// protocol I/O (0 = none): a stalled repository cannot hang the client.
   Millis io_timeout{30000};
-
-  /// Redirect hop budget shared by replica (PRIMARY) and cluster
-  /// (WRONG_SHARD) redirects within one operation. Each hop acts on
-  /// information a server just handed us, but a cycle of servers pointing
-  /// at each other must terminate: past the budget the operation fails
-  /// with RedirectLoop.
-  int max_redirect_hops = 3;
 };
 
 /// INFO result (metadata only; never key material).
@@ -106,10 +104,9 @@ struct StoredCredentialInfo {
   std::optional<std::uint32_t> otp_remaining;
 };
 
-/// A replica refused a write and named the primary. Thrown by write
-/// operations issued against a read-only replica; the failover wrapper
-/// moves on to the next endpoint, and callers that reach it directly can
-/// retry at primary_port.
+/// A replica refused a write and named the primary. run_op follows the
+/// name within the redirect hop budget; a read refused this way moves on
+/// to the next endpoint.
 class ReplicaRedirect : public Error {
  public:
   ReplicaRedirect(std::uint16_t primary_port, const std::string& message)
@@ -126,7 +123,7 @@ class ReplicaRedirect : public Error {
 /// The server shed this request at admission (per-identity rate limit or
 /// in-flight cap) and hinted when to retry. run_op honors the hint:
 /// it sleeps the larger of the hint and its own backoff, then retries the
-/// same endpoint, up to RetryPolicy::max_attempts tries.
+/// same endpoint, within RetryPolicy::max_attempts connections to it.
 class ServerBusy : public Error {
  public:
   ServerBusy(Millis retry_after, const std::string& message)
@@ -164,9 +161,10 @@ class WrongShardRedirect : public Error {
   std::uint16_t primary_hint_;
 };
 
-/// An operation burned through RetryPolicy::max_redirect_hops redirects
-/// without landing on an owner — servers are pointing at each other
-/// (mid-migration churn, or inconsistent maps).
+/// An operation burned through kMaxRedirectHops redirects without landing
+/// on an owner, or a redirect led back to an endpoint that has had its
+/// RetryPolicy::max_attempts connections — servers are pointing at each
+/// other (mid-migration churn, or inconsistent maps).
 class RedirectLoop : public Error {
  public:
   explicit RedirectLoop(const std::string& message)
@@ -287,17 +285,13 @@ class MyProxyClient {
 
   // --- Cluster routing --------------------------------------------------------
 
-  /// Route operations by the cluster shard map: hash the target username,
-  /// send writes to the owning node's primary and reads to its replicas.
+  /// Route operations by a shard map: hash the target username, send
+  /// writes to the owning node's primary and reads to its replicas.
   /// Without a map installed (or fetched), operations use the plain
-  /// endpoint list until a WRONG_SHARD refusal teaches us better.
-  void set_cluster_routing(bool enabled) { cluster_routing_ = enabled; }
-
-  /// Install a shard map directly (config-distributed maps, tests) and
-  /// enable routing.
+  /// endpoint list until a WRONG_SHARD refusal teaches us better. This
+  /// installs one directly (config-distributed maps, tests).
   void set_cluster_map(cluster::ClusterMap map) {
     cluster_map_ = std::move(map);
-    cluster_routing_ = true;
   }
 
   /// The map this client currently routes by (nullopt until installed or
@@ -308,7 +302,7 @@ class MyProxyClient {
   }
 
   /// Fetch the shard map from the cluster (CLUSTER_MAP command), install
-  /// it, enable routing, and return it.
+  /// it (which enables routing), and return it.
   cluster::ClusterMap fetch_cluster_map();
 
   /// Admin: move `shard` to the node whose primary listens on
@@ -327,33 +321,32 @@ class MyProxyClient {
 
  private:
   /// Endpoint order for a request that does (`write`) or does not write
-  /// the store. With cluster routing and a map, the order comes from
-  /// `username`'s owning node (its primary for writes, replicas then
-  /// primary for reads). Otherwise: writes go to the primary only —
-  /// replicas cannot accept them and there is no automatic promotion, so
-  /// failing over a write could at best replay it and at worst misreport
-  /// its outcome; reads try replicas first with the primary as the last
-  /// resort.
+  /// the store. With a cluster map, the order comes from `username`'s
+  /// owning node (its primary for writes, replicas then primary for
+  /// reads). Otherwise: writes go to the primary only — replicas cannot
+  /// accept them and there is no automatic promotion, so failing over a
+  /// write could at best replay it and at worst misreport its outcome;
+  /// reads try replicas first with the primary as the last resort.
   [[nodiscard]] std::vector<std::uint16_t> candidates(
       bool write, std::string_view username) const;
 
-  /// Run `request` against each candidate endpoint until one succeeds:
-  /// connect, send it, check the first response, run `step(channel,
-  /// response)` for the rest of the command's exchange, then cache the
-  /// session. protocol::writes_store(request) picks the endpoint order.
-  /// Transport failures (IoError — endpoint dead or unreachable after
-  /// connect()'s own retries) and read-only refusals (ReplicaRedirect)
-  /// move to the next endpoint. Redirects that carry a destination — a
-  /// replica naming its primary, a clustered node naming a shard's owner —
-  /// are followed (refreshing the cluster map for WRONG_SHARD) within
-  /// RetryPolicy::max_redirect_hops. Everything else propagates unchanged.
+  /// The client's only retry loop. Each pass is one connection to one
+  /// endpoint: connect_once, send `request`, check the first response, run
+  /// `step(channel, response)` for the rest of the exchange, cache the
+  /// session. A failure picks the next pass: the same endpoint after
+  /// ServerBusy or an IoError before the request was sent; the next
+  /// endpoint after a read's later IoError or ReplicaRedirect; the named
+  /// destination after a write's ReplicaRedirect or a WrongShardRedirect,
+  /// within kMaxRedirectHops. A sent write is never replayed.
+  /// RetryPolicy::max_attempts bounds the connections to each endpoint.
   template <typename Step>
   auto run_op(const protocol::Request& request, Step&& step)
       -> decltype(step(std::declval<tls::TlsChannel&>(),
                        std::declval<const protocol::Response&>()));
 
   /// Fetch + install the cluster map, trying `preferred` (when non-zero)
-  /// before the configured endpoints and any known shard primaries.
+  /// before the configured endpoints and any known shard primaries; one
+  /// connection to each until one answers.
   cluster::ClusterMap fetch_cluster_map_from(std::uint16_t preferred);
 
   /// Map a refused response to the typed error it encodes (ServerBusy,
@@ -361,23 +354,14 @@ class MyProxyClient {
   void check_response(const protocol::Response& response,
                       protocol::Command command);
 
-  /// Run `fn(port)` against one endpoint, retrying ServerBusy refusals
-  /// after sleeping max(own backoff, server retry-after hint).
-  template <typename Fn>
-  auto run_with_busy_retry(Fn&& fn, std::uint16_t port)
-      -> decltype(fn(std::uint16_t{}));
-
-  /// Open a connection to `port`, run the TLS handshake, authenticate the
-  /// server. Transient transport failures (refused, timed out, handshake
-  /// broken) are retried per retry_policy_; authentication failures are
-  /// not.
-  [[nodiscard]] std::unique_ptr<tls::TlsChannel> connect(std::uint16_t port);
-
-  /// One connection attempt with the policy's deadlines applied.
+  /// Open one connection to `port` with the policy's deadlines, offering
+  /// the endpoint's cached session, and authenticate the server (a full
+  /// handshake verifies its chain). Transport failures throw IoError;
+  /// authentication failures throw other errors, which no caller retries.
   [[nodiscard]] std::unique_ptr<tls::TlsChannel> connect_once(
       std::uint16_t port);
 
-  /// Backoff duration before attempt number `attempt` (1-based).
+  /// Backoff duration after attempt number `attempt` (1-based).
   [[nodiscard]] Millis backoff_for_attempt(int attempt);
 
   /// Send a request and insist on an OK first response. A refusal carrying
@@ -410,7 +394,6 @@ class MyProxyClient {
   std::uint64_t resumed_connections_ = 0;
   std::uint64_t full_connections_ = 0;
 
-  bool cluster_routing_ = false;
   std::optional<cluster::ClusterMap> cluster_map_;
   std::uint64_t wrong_shard_redirects_ = 0;
   std::uint64_t map_refreshes_ = 0;

@@ -282,9 +282,14 @@ ResourceClient::ResourceClient(gsi::Credential credential,
       port_(port) {}
 
 std::unique_ptr<tls::TlsChannel> ResourceClient::connect() {
-  auto channel =
-      tls::TlsChannel::connect(tls_context_, net::tcp_connect(port_));
+  // The portal calls this on a reactor worker: a resource that accepts TCP
+  // and then stalls must cost that worker a deadline, not the worker.
+  auto channel = tls::TlsChannel::connect(
+      tls_context_, net::tcp_connect(port_, tls::kDefaultHandshakeTimeout),
+      tls::kDefaultHandshakeTimeout);
   (void)trust_store_.verify(channel->peer_chain());  // mutual authentication
+  channel->set_deadlines(tls::kDefaultRequestTimeout,
+                         tls::kDefaultRequestTimeout);
   return channel;
 }
 

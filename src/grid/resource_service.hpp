@@ -118,7 +118,10 @@ class ResourceService {
   std::uint64_t next_job_ = 1;
 };
 
-/// Client API for the resource (what the portal and examples use).
+/// Client API for the resource (what the portal and examples use). Each
+/// call opens one connection: connect and handshake are bounded by
+/// tls::kDefaultHandshakeTimeout, every later read and write by
+/// tls::kDefaultRequestTimeout.
 class ResourceClient {
  public:
   ResourceClient(gsi::Credential credential, pki::TrustStore trust_store,

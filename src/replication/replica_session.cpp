@@ -16,6 +16,13 @@ namespace {
 
 constexpr std::string_view kLogComponent = "replication";
 
+/// Deadline for dialing the primary, and per-read deadline on the stream.
+/// The primary heartbeats every second, so a silent connection this old is
+/// dead and worth re-dialing.
+constexpr Millis kConnectTimeout{5000};
+constexpr Millis kIoTimeout{5000};
+constexpr Millis kMaxReconnectBackoff{5000};
+
 }  // namespace
 
 ReplicaSession::ReplicaSession(gsi::Credential credential,
@@ -85,7 +92,7 @@ void ReplicaSession::run() {
                 "retrying in {} ms",
                 config_.primary_port, e.what(), backoff.count());
       if (!sleep_for(backoff)) break;
-      backoff = std::min(backoff * 2, config_.max_reconnect_backoff);
+      backoff = std::min(backoff * 2, kMaxReconnectBackoff);
     }
   }
   stats_.connected.store(false, std::memory_order_relaxed);
@@ -93,9 +100,8 @@ void ReplicaSession::run() {
 
 void ReplicaSession::sync_once() {
   auto channel = tls::TlsChannel::connect(
-      tls_context_, net::tcp_connect(config_.primary_port,
-                                     config_.connect_timeout),
-      config_.io_timeout);
+      tls_context_, net::tcp_connect(config_.primary_port, kConnectTimeout),
+      kIoTimeout);
   {
     const std::scoped_lock lock(mutex_);
     if (stopping_.load()) return;

@@ -40,15 +40,8 @@ struct ReplicaConfig {
   /// persistence (every start bootstraps with a full snapshot).
   std::filesystem::path state_file;
 
-  Millis connect_timeout{5000};
-
-  /// Per-read deadline on the stream. The primary heartbeats every second,
-  /// so a silent connection this old is dead and worth re-dialing.
-  Millis io_timeout{5000};
-
-  /// Reconnect backoff (doubles up to the max after repeated failures).
+  /// Reconnect backoff (doubles up to 5 s after repeated failures).
   Millis reconnect_backoff{300};
-  Millis max_reconnect_backoff{5000};
 };
 
 /// Counters mirrored into the STATS command by the server.

@@ -4,6 +4,7 @@
 
 #include <chrono>
 #include <future>
+#include <optional>
 #include <thread>
 
 #include "common/error.hpp"
@@ -166,6 +167,22 @@ TEST_F(ResourceServiceTest, StopIsFastWithASilentClient) {
   const auto ready = stopped.wait_for(std::chrono::milliseconds(250));
   silent.close();
   EXPECT_EQ(ready, std::future_status::ready);
+}
+
+TEST_F(ResourceServiceTest, ClientGivesUpOnASilentListener) {
+  // A resource that accepts TCP (the kernel's backlog does) and never
+  // speaks TLS. The portal calls the client on a worker, so the call must
+  // fail at the handshake deadline instead of waiting forever.
+  std::optional<net::TcpListener> silent(net::TcpListener::bind(0));
+  ResourceClient client(gsi::create_proxy(make_user("res-alice")),
+                        make_trust_store(), silent->port());
+  auto call = std::async(std::launch::async, [&] { return client.whoami(); });
+  const auto status =
+      call.wait_for(tls::kDefaultHandshakeTimeout + std::chrono::seconds(5));
+  silent.reset();  // resets the connection of a client still waiting
+  EXPECT_EQ(status, std::future_status::ready)
+      << "the client outlived its handshake deadline";
+  EXPECT_THROW((void)call.get(), IoError);
 }
 
 }  // namespace

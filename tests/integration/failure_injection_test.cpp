@@ -3,6 +3,7 @@
 // service (§3.3) — one misbehaving client must never take it down.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <thread>
 
@@ -13,7 +14,9 @@
 #include "gsi/gsi_fixtures.hpp"
 #include "gsi/proxy.hpp"
 #include "net/channel.hpp"
+#include "protocol/message.hpp"
 #include "server/myproxy_server.hpp"
+#include "tls/tls_channel.hpp"
 
 namespace myproxy {
 namespace {
@@ -381,6 +384,49 @@ TEST(ClientRetry, GivesUpWithClearErrorAfterMaxAttempts) {
     EXPECT_NE(std::string(e.what()).find("2 attempt"), std::string::npos)
         << e.what();
   }
+}
+
+TEST(ClientRetry, MaxAttemptsBoundsConnectionsToAnEndpoint) {
+  // A fake repository alternating the two failures the client retries:
+  // odd connections are closed during the handshake (no request sent),
+  // even ones are refused busy with a short hint. However they mix,
+  // max_attempts bounds the connections to the endpoint.
+  net::TcpListener listener = net::TcpListener::bind(0);
+  const std::uint16_t port = listener.port();
+  const auto context = tls::TlsContext::make(make_host("fi-busy-myproxy"));
+  std::atomic<bool> done{false};
+  int accepted = 0;
+  std::thread fake([&] {
+    for (;;) {
+      net::Socket socket = listener.accept();
+      if (done.load()) return;
+      if (++accepted % 2 == 1) continue;  // closed mid-handshake
+      try {
+        auto channel =
+            tls::TlsChannel::accept(context, std::move(socket), Millis(5000));
+        (void)channel->receive();
+        auto busy = protocol::Response::make_error("server busy");
+        busy.fields["BUSY"] = "1";
+        busy.fields["RETRY_AFTER_MS"] = "10";
+        channel->send(busy.serialize());
+      } catch (const Error&) {
+      }
+    }
+  });
+
+  client::RetryPolicy retry;
+  retry.max_attempts = 4;
+  retry.initial_backoff = Millis(10);
+  retry.max_backoff = Millis(20);
+  const auto user = make_user("fi-busy-user");
+  const auto proxy = gsi::create_proxy(user);
+  MyProxyClient client(proxy, make_trust_store(), port, retry);
+  EXPECT_THROW((void)client.get("alice", kPhrase), client::ServerBusy);
+
+  done = true;
+  (void)net::tcp_connect(port);  // wake the fake repository's accept
+  fake.join();
+  EXPECT_LE(accepted, 4);
 }
 
 TEST(BackgroundSweeper, RemovesExpiredRecordsWhileServing) {

@@ -62,9 +62,11 @@ int run_tool(std::string_view name, const std::function<void()>& body);
 [[nodiscard]] std::vector<std::uint16_t> ports_from_args(
     const Args& args, std::string_view fallback = "7512");
 
-/// Append the shared connection-robustness flags (--retries,
-/// --retry-backoff-ms, --connect-timeout-ms, --io-timeout-ms) to a tool's
-/// value-flag list.
+/// Append the shared connection-robustness flags to a tool's value-flag
+/// list: --retries N (connections to each endpoint in one operation,
+/// default 3; the client retries only a BUSY refusal or a connection that
+/// failed before the request was sent), --retry-backoff-ms (the first
+/// backoff, doubling to 2 s), --connect-timeout-ms and --io-timeout-ms.
 [[nodiscard]] std::vector<std::string> with_retry_flags(
     std::vector<std::string> value_flags);
 
